@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the §V-A security evaluation: 20 attacks against live deployments.
+"""Run the §V-A security evaluation: 21 attacks against live deployments.
 
 Every attack class the paper discusses — middlebox bypass, configuration
 rollback, traffic replay, enclave denial of service, TLS downgrade,

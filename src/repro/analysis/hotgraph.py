@@ -13,9 +13,9 @@ engine (function tables keyed by dotted and bare names, resolved call
 and reference edges, reachability fixpoint); only the seed set differs.
 Hot seeds are the code-reviewed :data:`HOT_SEEDS` table of per-packet
 entry points: compiled Click dispatch closures, ``Router.process`` /
-``process_batch``, the gateway ``ecall``/``ecall_batch``/``ocall``
-crossings, ``ecall_process_packet(_batch)``, data-channel
-protect/unprotect, keystream generation, and netsim frame delivery.
+``process_batch``, the gateway ``ecall``/``ocall`` crossings,
+``ecall_process_packet``, data-channel protect/unprotect, keystream
+generation, and netsim frame delivery.
 Bound method references (``push = target.push``) count as call edges so
 compiled dispatch pulls every ``Element.push`` body into the hot set.
 
@@ -178,10 +178,8 @@ HOT_SEEDS: FrozenSet[Tuple[str, str]] = frozenset(
         ("repro.click.router", "Router.process_batch"),
         # the enclave crossing itself and the per-packet ecall handlers
         ("repro.sgx.gateway", "EnclaveGateway.ecall"),
-        ("repro.sgx.gateway", "EnclaveGateway.ecall_batch"),
         ("repro.sgx.gateway", "EnclaveGateway.ocall"),
         ("repro.core.enclave_app", "ecall_process_packet"),
-        ("repro.core.enclave_app", "ecall_process_packet_batch"),
         # data-channel crypto
         ("repro.vpn.channel", "DataChannel.protect"),
         ("repro.vpn.channel", "DataChannel.protect_batch"),

@@ -17,6 +17,7 @@ from repro.core.ca import CertificateAuthority
 from repro.core.enclave_app import EndBoxEnclave, build_endbox_image
 from repro.core.provisioning import provision_client
 from repro.costs import default_cost_model
+from repro.netsim.packet import IPv4Packet, UdpDatagram
 from repro.sgx.attestation import IntelAttestationService, SgxPlatform
 from repro.sgx.gateway import InterfaceViolation
 from repro.sim import Simulator
@@ -42,10 +43,16 @@ def run_iago_attacks(seed: bytes = b"atk-iago") -> List[AttackReport]:
     gateway = endbox.gateway
     reports = []
 
+    valid = IPv4Packet(src="10.8.0.2", dst="10.0.0.9", l4=UdpDatagram(40000, 5001, b"data"))
     hostile_ecalls = [
-        ("process_packet", (b"\x00" * 64, "egress", "encrypt+mac", True), "non-packet buffer"),
+        ("process_packet", ([b"\x00" * 64], "egress", "encrypt+mac", True), "non-packet buffer"),
         ("process_packet", (None, "egress", "encrypt+mac", True), "null pointer"),
-        ("process_packet", (object(), "sideways", "encrypt+mac", True), "bogus direction enum"),
+        ("process_packet", ([valid], "sideways", "encrypt+mac", True), "bogus direction enum"),
+        (
+            "process_packet",
+            ([valid, valid, b"\x00" * 64, valid], "egress", "encrypt+mac", True),
+            "bad packet hidden in a valid burst",
+        ),
         ("apply_config", (12345,), "non-buffer config blob"),
         ("apply_config", (b"x" * (1 << 23),), "oversized config blob"),
         ("provision", (b"{}", b"short"), "undersized wrapped key"),

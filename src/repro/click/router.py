@@ -14,6 +14,7 @@ charge simulated CPU time.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.click.config import ParsedConfig, parse_config
@@ -141,54 +142,36 @@ class Router:
             pair[0].inc()
 
     def process(self, ip_packet: IPv4Packet) -> Tuple[bool, IPv4Packet]:
-        """Run one packet through the graph.
+        """Run one packet through the graph (a burst of one).
 
         Returns ``(accepted, packet)`` where ``packet`` reflects any
         header/payload rewrites elements performed.
         """
-        wrap = Packet
-        plan = self._plan
-        if plan is not None and plan.entry_receive is not None:
-            packet = wrap(ip_packet)
-            self.packets_processed += 1
-            self._tm_packets.inc()
-            plan.entry_receive(packet)
-            return packet.verdict == "accept", packet.ip
-        if self._entry is None:
-            raise ElementError("configuration has no FromDevice entry point")
-        packet = wrap(ip_packet)
-        self.packets_processed += 1
-        self._tm_packets.inc()
-        self._entry._receive(0, packet)
-        accepted = packet.verdict == "accept"
-        return accepted, packet.ip
+        return self.process_batch((ip_packet,))[0]
 
     def process_batch(self, ip_packets) -> List[Tuple[bool, IPv4Packet]]:
-        """Run a burst of packets through the graph (one per dispatch).
+        """Run a burst of packets through the graph, one dispatch each.
 
-        Semantically a loop over :meth:`process` — per-packet results
-        and all counters/ledger charges are identical — but with the
-        entry thunk and packet wrapper bound once per burst, which is
-        what the batched ecall path calls.
+        The compiled plan's entry thunk (or, uncompiled, the interpreted
+        ``FromDevice`` walk) and the packet wrapper are bound once per
+        burst; results come back in order.
         """
         plan = self._plan
         if plan is not None and plan.entry_receive is not None:
-            entry_receive = plan.entry_receive
-            wrap = Packet
-            results: List[Tuple[bool, IPv4Packet]] = []
-            append = results.append
-            for ip_packet in ip_packets:
-                packet = wrap(ip_packet)
-                entry_receive(packet)
-                append((packet.verdict == "accept", packet.ip))
-            self.packets_processed += len(results)
-            self._tm_packets.inc(len(results))
-            return results
-        process = self.process
-        results = []
+            receive = plan.entry_receive
+        elif self._entry is not None:
+            receive = partial(self._entry._receive, 0)
+        else:
+            raise ElementError("configuration has no FromDevice entry point")
+        wrap = Packet
+        results: List[Tuple[bool, IPv4Packet]] = []
         append = results.append
         for ip_packet in ip_packets:
-            append(process(ip_packet))
+            packet = wrap(ip_packet)
+            receive(packet)
+            append((packet.verdict == "accept", packet.ip))
+        self.packets_processed += len(results)
+        self._tm_packets.inc(len(results))
         return results
 
     # ------------------------------------------------------------------

@@ -3,8 +3,9 @@
 The enclave image contains Click, the security-sensitive VPN parts and a
 small set of entry points.  As in the paper (§IV-B), only a handful of
 ecalls run during normal operation — here, ``process_packet`` is the
-single data-plane ecall per packet (§IV-A's batching optimisation;
-disable it and the client charges ~26 transitions per packet instead).
+single data-plane ecall (§IV-A's batching optimisation; disable it and
+the client charges ~26 transitions per packet instead).  It takes a
+burst; by default the client sends bursts of one, one ecall per packet.
 
 The CA public key is part of the measured initial data (§III-C), so an
 image with a swapped key has a different MRENCLAVE and fails
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.click.config import ClickSyntaxError
 from repro.click.element import ElementError
@@ -150,128 +151,67 @@ def ecall_restore_state(enclave, gateway, storage) -> bool:
 
 
 def ecall_process_packet(
-    enclave, gateway, packet: IPv4Packet, direction: str, mode_value: str, c2c_flagging: bool
-) -> Tuple[bool, IPv4Packet]:
-    """The single data-plane ecall: Click + in-enclave crypto accounting.
-
-    Egress: run Click; accepted packets optionally get the 0xEB QoS flag
-    so peer EndBox clients skip re-processing (§IV-A).  Ingress: packets
-    already flagged bypass Click.
-    """
-    state = enclave.trusted_state
-    manager: HotSwapManager = state["click"]
-    model = state["cost_model"]
-    ledger = gateway.ledger
-    size = len(packet)
-    # boundary copies (both modes) + EPC tax (hardware only)
-    ledger.add(2 * model.memcpy(size))
-    if enclave.mode is EnclaveMode.HARDWARE:
-        ledger.add(size * model.epc_per_byte)
-        # EPC oversubscription: when resident enclave memory exceeds the
-        # 128 MiB cache, every touched page faults with probability
-        # paging_fraction and pays the swap penalty (§II-C)
-        paging = enclave.epc.paging_fraction()
-        if paging > 0.0:
-            pages_touched = size // 4096 + 4  # payload + code/stack working set
-            ledger.add(paging * pages_touched * model.epc_page_fault)
-            gateway.epc_faults.inc(paging * pages_touched)
-    mode = _PROTECTION_MODES[mode_value]
-    ledger.add(crypto_cost(model, size, mode))  # data-channel crypto runs in here
-    if direction == "ingress" and c2c_flagging and packet.tos == ENDBOX_PROCESSED_TOS:
-        return True, packet  # peer already ran the middlebox functions
-    accepted, packet = manager.router.process(packet)
-    if accepted and direction == "egress" and c2c_flagging:
-        packet = packet.copy(tos=ENDBOX_PROCESSED_TOS)
-    return accepted, packet
-
-
-def ecall_process_packet_batch(
     enclave, gateway, packets, direction: str, mode_value: str, c2c_flagging: bool
-):
-    """Burst form of :func:`ecall_process_packet`: one crossing, N packets.
+) -> List[Tuple[bool, IPv4Packet]]:
+    """The data-plane ecall: Click + in-enclave crypto accounting for a burst.
 
-    Charges the same per-packet costs as N scalar calls would — the only
-    accounting differences are the ones batching is *for*: the gateway
-    charges a single transition pair for the whole burst, EPC residency
-    is sampled once per crossing (it cannot change while the enclave
-    holds the data plane), and the burst's boundary/EPC/crypto charges
-    land as one summed ledger entry instead of three per packet (same
-    total up to float rounding; the egress arm also books all charges
-    before running Click).  Per-packet charges are a pure function of
-    the packet size, so the burst loop prices each *distinct* size once
-    and replays the figure for the runs of equal-sized packets a
-    fragmented datagram produces.  Shared state (the Click router, cost
-    model, protection mode) is resolved once per burst, which — with the
-    fused ``process_batch`` dispatch — is where the wall-clock win over
-    N scalar ecalls comes from.
+    The client crosses once per burst; a burst of one is the paper's
+    single ecall per packet (§IV-A).  Every packet is charged its
+    boundary copies, EPC tax, paging and data-channel crypto as separate
+    ledger entries, in that order, before one Click dispatch runs the
+    burst.  The charges are a pure function of the packet size, so they
+    are priced once per run of equal sizes (a fragmented datagram's
+    pieces), and EPC residency is sampled once per crossing: it cannot
+    change while the enclave holds the data plane.  Egress: accepted
+    packets optionally get the 0xEB QoS flag so peer EndBox clients skip
+    re-processing.  Ingress: packets already flagged bypass Click.
+    Returns ``[(accepted, packet)]`` in order.
     """
     state = enclave.trusted_state
-    manager: HotSwapManager = state["click"]
+    router = state["click"].router
     model = state["cost_model"]
-    memcpy = model.memcpy
-    hmac = model.hmac
-    aes = model.aes
+    add = gateway.ledger.add
     hardware = enclave.mode is EnclaveMode.HARDWARE
-    if hardware:
-        epc_per_byte = model.epc_per_byte
-        epc_page_fault = model.epc_page_fault
-        paging = enclave.epc.paging_fraction()
-    encrypting = _PROTECTION_MODES[mode_value] is ProtectionMode.ENCRYPT_AND_MAC
-    router = manager.router
-
-    last_size = -1
-    last_cost = 0.0
-    last_faults = 0.0
-    total_cost = 0.0
-    total_faults = 0.0
-
-    def charge(size: int) -> None:
-        nonlocal last_size, last_cost, last_faults, total_cost, total_faults
-        if size != last_size:
-            cost = 2 * memcpy(size)
-            faults = 0.0
-            if hardware:
-                cost += size * epc_per_byte
-                if paging > 0.0:
-                    faults = paging * (size // 4096 + 4)
-                    cost += faults * epc_page_fault
-            cost += hmac(size)
-            if encrypting:
-                cost += aes(size)
-            last_size = size
-            last_cost = cost
-            last_faults = faults
-        total_cost += last_cost
-        total_faults += last_faults
-
-    def book() -> None:
-        gateway.ledger.add(total_cost)
-        if total_faults:
-            gateway.epc_faults.inc(total_faults)
-
-    if direction == "egress":
-        for packet in packets:
-            charge(len(packet))
-        book()
-        results = router.process_batch(packets)
-        if not c2c_flagging:
-            return results
-        flag = ENDBOX_PROCESSED_TOS
-        for index, (accepted, packet) in enumerate(results):
-            if accepted:
-                results[index] = (True, packet.with_tos(flag))
-        return results
-    process = router.process
-    bypass = c2c_flagging
-    results = []
-    append = results.append
+    # EPC oversubscription: when resident enclave memory exceeds the
+    # 128 MiB cache, every touched page faults with probability
+    # paging_fraction and pays the swap penalty (§II-C)
+    paging = enclave.epc.paging_fraction() if hardware else 0.0
+    mode = _PROTECTION_MODES[mode_value]
+    priced = -1
     for packet in packets:
-        charge(len(packet))
-        if bypass and packet.tos == ENDBOX_PROCESSED_TOS:
-            append((True, packet))
-        else:
-            append(process(packet))
-    book()
+        size = len(packet)
+        if size != priced:
+            priced = size
+            copy_s = 2 * model.memcpy(size)  # boundary copies (both modes)
+            epc_s = size * model.epc_per_byte  # EPC tax (hardware only)
+            faults = paging * (size // 4096 + 4)  # payload + code/stack working set
+            fault_s = faults * model.epc_page_fault
+            crypto_s = crypto_cost(model, size, mode)  # data-channel crypto runs in here
+        add(copy_s)
+        if hardware:
+            add(epc_s)
+            if paging > 0.0:
+                add(fault_s)
+                gateway.epc_faults.inc(faults)
+        add(crypto_s)
+    if direction == "egress":
+        results = router.process_batch(packets)
+        if c2c_flagging:
+            for index, (accepted, packet) in enumerate(results):
+                if accepted:
+                    results[index] = (True, packet.with_tos(ENDBOX_PROCESSED_TOS))
+        return results
+    if not c2c_flagging:
+        return router.process_batch(packets)
+    # a peer EndBox already ran the middlebox functions on flagged packets
+    unflagged = []
+    for packet in packets:
+        if packet.tos != ENDBOX_PROCESSED_TOS:
+            unflagged.append(packet)
+    verdicts = iter(router.process_batch(unflagged) if unflagged else ())
+    results = []
+    for packet in packets:
+        results.append((True, packet) if packet.tos == ENDBOX_PROCESSED_TOS else next(verdicts))
     return results
 
 
@@ -380,7 +320,6 @@ ENDBOX_ECALLS = {
     "seal_state": ecall_seal_state,
     "restore_state": ecall_restore_state,
     "process_packet": ecall_process_packet,
-    "process_packet_batch": ecall_process_packet_batch,
     "apply_config": ecall_apply_config,
     "export_handshake_credentials": ecall_export_handshake_credentials,
     "get_certificate": ecall_get_certificate,
@@ -434,7 +373,6 @@ class EndBoxEnclave:
             copy_cost_per_byte=0.0,  # boundary copies are charged in-handler
         )
         gateway.set_ecall_validator("process_packet", _validate_process_packet)
-        gateway.set_ecall_validator("process_packet_batch", _validate_process_packet_batch)
         gateway.set_ecall_validator("apply_config", _validate_blob)
         gateway.set_ecall_validator("provision", _validate_provision)
         return cls(enclave=enclave, gateway=gateway)
@@ -443,19 +381,10 @@ class EndBoxEnclave:
 _PROTECTION_MODE_VALUES = frozenset(m.value for m in ProtectionMode)
 
 
-def _validate_process_packet(packet, direction, mode_value, c2c_flagging) -> bool:
-    return (
-        isinstance(packet, IPv4Packet)
-        and direction in ("egress", "ingress")
-        and mode_value in _PROTECTION_MODE_VALUES
-        and isinstance(c2c_flagging, bool)
-        and len(packet) <= 65535
-    )
-
-
-def _validate_process_packet_batch(packets, direction, mode_value, c2c_flagging) -> bool:
-    # same per-packet checks as the scalar validator; the burst container
-    # itself is untrusted input too, so its type and size are capped
+def _validate_process_packet(packets, direction, mode_value, c2c_flagging) -> bool:
+    # the burst container is untrusted input too, so its type and size
+    # are capped, and every packet is checked before the enclave is
+    # entered: a hostile burst cannot smuggle one bad packet among good ones
     if not isinstance(packets, (list, tuple)) or not 0 < len(packets) <= 4096:
         return False
     if (

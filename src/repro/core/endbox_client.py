@@ -28,17 +28,14 @@ from repro.core.enclave_app import ConfigError, EndBoxEnclave
 from repro.http.client import HttpClient, HttpError
 from repro.netsim.addresses import IPv4Address
 from repro.netsim.host import Host
-from repro.netsim.packet import IPv4Packet, parse_ipv4
 from repro.sgx.enclave import EnclaveMode
 from repro.vpn.costing import (
     client_egress_cost,
     client_ingress_completion_cost,
     crypto_cost,
-    ingress_fragment_cost,
 )
 from repro.vpn.openvpn import OpenVpnClient
 from repro.vpn.ping import PingMessage
-from repro.vpn.protocol import OP_DATA, VpnPacket
 
 #: enclave transitions per packet without the single-ecall optimisation
 #: (one ecall per crypto call plus memory-management ocalls, §IV-A/V-G)
@@ -59,21 +56,15 @@ class EndBoxClient(OpenVpnClient):
         config_server: Optional[Tuple[IPv4Address, int]] = None,
         single_ecall_optimization: bool = True,
         c2c_flagging: bool = True,
-        ecall_batching: bool = False,
-        ecall_batch_limit: int = 32,
+        ecall_batch_limit: int = 1,
         config_fetch_attempts: int = 6,
         config_fetch_backoff_s: float = 0.25,
         **vpn_kwargs,
     ) -> None:
-        if ecall_batching and not single_ecall_optimization:
-            raise ValueError("ecall batching builds on the single-ecall optimisation")
-        if ecall_batch_limit < 2:
-            raise ValueError("ecall_batch_limit must be at least 2")
         self.endbox = endbox
-        #: batch bursts of data packets into one enclave crossing (§IV-A
-        #: taken further; opt-in so the default deployment keeps the
-        #: paper's one-ecall-per-packet accounting bit-for-bit)
-        self.ecall_batching = ecall_batching
+        #: packets per enclave crossing at most: 1 is the paper's single
+        #: data-plane ecall per packet; more batches queued bursts into
+        #: one crossing (§IV-A taken further; DeploymentSpec validates it)
         self.ecall_batch_limit = ecall_batch_limit
         self.ecall_bursts = 0
         self.ecall_burst_packets = 0
@@ -102,6 +93,8 @@ class EndBoxClient(OpenVpnClient):
         self.click_config = click_config
         self.ruleset_text = ruleset_text
         self.packets_dropped_by_click = 0
+        #: end of the current hot-swap window (packets in it are dropped)
+        self._swap_until = 0.0
         self.update_timings: list = []
         self.update_in_progress = False
         # bounded retry-with-backoff for the Fig 5 fetch (steps 5-9):
@@ -121,213 +114,72 @@ class EndBoxClient(OpenVpnClient):
     # ------------------------------------------------------------------
     # data plane
     # ------------------------------------------------------------------
-    def _enclave_packet(self, packet: IPv4Packet, direction: str) -> Tuple[bool, IPv4Packet, float]:
-        gateway = self.endbox.gateway
-        if self.sim.now < getattr(self, "_swap_until", 0.0):
-            # the Click graph is mid-hot-swap: packets in this window are
-            # dropped, exactly one ping in the Fig 11 experiment
-            self.packets_dropped_by_click += 1
-            return False, packet, self.model.partition_fixed
-        accepted, packet = gateway.ecall(
-            "process_packet",
-            packet,
-            direction,
-            self.mode.value,
-            self.c2c_flagging,
-            payload_bytes=len(packet),
-        )
-        extra_transitions = 0.0
-        if (
-            not self.single_ecall_optimization
-            and self.endbox.enclave.mode is EnclaveMode.HARDWARE
-        ):
-            extra_transitions = (UNOPTIMIZED_TRANSITIONS - 2) * self.model.enclave_transition
-        return accepted, packet, gateway.ledger.drain() + extra_transitions
+    def _enclave_burst(self, packets, direction: str):
+        """Cross into the enclave once for a burst; returns (results, cost).
 
-    def process_egress(self, packet: IPv4Packet) -> Tuple[bool, IPv4Packet, float]:
-        """Per-packet egress hook; returns (accept, packet, cpu_seconds)."""
-        size = len(packet)
-        base = (
-            client_egress_cost(self.model, size, self.mode)
-            - crypto_cost(self.model, size, self.mode)  # crypto moved into the enclave
-            + self.model.partition_fixed
-        )
-        accepted, packet, enclave_cost = self._enclave_packet(packet, "egress")
-        if not accepted:
-            self.packets_dropped_by_click += 1
-        return accepted, packet, base + enclave_cost
+        A burst of one is the paper's single data-plane ecall per packet.
+        Longer bursts (``ecall_batch_limit`` > 1) pay the EENTER/EEXIT
+        pair once for the whole run; every other charge stays per packet.
+        While the Click graph is mid-hot-swap the burst is dropped
+        without entering, exactly one ping in the Fig 11 experiment.
+        """
+        model = self.model
+        if self.sim.now < self._swap_until:
+            results = [(False, packet) for packet in packets]
+            cost = len(packets) * model.partition_fixed
+        else:
+            gateway = self.endbox.gateway
+            results = gateway.ecall(
+                "process_packet",
+                packets,
+                direction,
+                self.mode.value,
+                self.c2c_flagging,
+                payload_bytes=sum(len(packet) for packet in packets),
+            )
+            self.ecall_bursts += 1
+            self.ecall_burst_packets += len(packets)
+            extra_transitions = 0.0
+            if (
+                not self.single_ecall_optimization
+                and self.endbox.enclave.mode is EnclaveMode.HARDWARE
+            ):
+                extra_transitions = (
+                    (UNOPTIMIZED_TRANSITIONS - 2) * model.enclave_transition * len(packets)
+                )
+            cost = gateway.ledger.drain() + extra_transitions
+        for accepted, _packet in results:
+            if not accepted:
+                self.packets_dropped_by_click += 1
+        return results, cost
 
-    def process_ingress(self, packet: IPv4Packet) -> Tuple[bool, IPv4Packet, float]:
-        size = len(packet)
+    def process_egress(self, packets):
+        """Egress hook; returns ([(accept, packet)], cpu_seconds)."""
+        model, mode = self.model, self.mode
+        base = 0.0
+        for packet in packets:
+            size = len(packet)
+            base += (
+                client_egress_cost(model, size, mode)
+                - crypto_cost(model, size, mode)  # crypto moved into the enclave
+                + model.partition_fixed
+            )
+        results, enclave_cost = self._enclave_burst(packets, "egress")
+        return results, base + enclave_cost
+
+    def process_ingress(self, packets):
+        """Ingress hook; returns ([(accept, packet)], cpu_seconds)."""
+        model = self.model
         # per-datagram recv costs were charged as fragments arrived
         # (without crypto: decryption happens in the single ecall below)
-        base = client_ingress_completion_cost(self.model, size) + self.model.partition_fixed
-        accepted, packet, enclave_cost = self._enclave_packet(packet, "ingress")
-        if not accepted:
-            self.packets_dropped_by_click += 1
-        return accepted, packet, base + enclave_cost
+        base = 0.0
+        for packet in packets:
+            base += client_ingress_completion_cost(model, len(packet)) + model.partition_fixed
+        results, enclave_cost = self._enclave_burst(packets, "ingress")
+        return results, base + enclave_cost
 
     def fragment_crypto_mode(self):
         return None  # EndBox decrypts inside the enclave, not per datagram
-
-    # ------------------------------------------------------------------
-    # batched data plane (opt-in, §IV-A batching in burst form)
-    # ------------------------------------------------------------------
-    def _worker(self):
-        if not self.ecall_batching:
-            yield from super()._worker()
-            return
-        # burst-draining worker: after waking up for one work item, drain
-        # the contiguous run of same-kind items already queued (bounded by
-        # ``ecall_batch_limit``) and cross the enclave boundary once for
-        # the whole run.  Peeking keeps mixed bursts in arrival order —
-        # a control packet never jumps ahead of the data burst before it.
-        inbox = self._work_inbox
-        while True:
-            kind, item, epoch = yield inbox.get()
-            if kind == "tx":
-                batch = [item]
-                while len(batch) < self.ecall_batch_limit:
-                    pending = inbox.peek()
-                    if pending is None or pending[0] != "tx":
-                        break
-                    batch.append(inbox.try_get()[1])
-                if len(batch) == 1:
-                    yield from self._handle_egress(item)
-                else:
-                    yield from self._handle_egress_batch(batch)
-                continue
-            if epoch != self.channel_epoch:
-                # superseded-key item (see OpenVpnClient._worker): drop
-                # deliberately rather than feed the fresh replay window
-                self.packets_dropped_stale += 1
-                continue
-            if isinstance(item, VpnPacket) and item.opcode == OP_DATA:
-                batch = [item]
-                while len(batch) < self.ecall_batch_limit:
-                    pending = inbox.peek()
-                    if (
-                        pending is None
-                        or pending[0] == "tx"
-                        or pending[2] != self.channel_epoch
-                        or not isinstance(pending[1], VpnPacket)
-                        or pending[1].opcode != OP_DATA
-                    ):
-                        break
-                    batch.append(inbox.try_get()[1])
-                if len(batch) == 1:
-                    yield from self._handle_data(item)
-                else:
-                    yield from self._handle_data_batch(batch)
-            else:
-                self._handle_ping(item)
-
-    def _enclave_batch(self, packets, direction: str):
-        """One ``ecall_batch`` crossing for a burst; returns (results, cost).
-
-        The per-packet handler work (boundary copies, EPC tax, crypto,
-        Click) is charged exactly as in the scalar path; only the
-        EENTER/EEXIT transition pair is paid once for the burst — that
-        single crossing is what the §V-G ablation reads off the ledger.
-        """
-        gateway = self.endbox.gateway
-        results = gateway.ecall(
-            "process_packet_batch",
-            packets,
-            direction,
-            self.mode.value,
-            self.c2c_flagging,
-            payload_bytes=sum(len(p) for p in packets),
-        )
-        self.ecall_bursts += 1
-        self.ecall_burst_packets += len(packets)
-        return results, gateway.ledger.drain()
-
-    def _handle_egress_batch(self, inners):
-        """Burst form of ``_handle_egress``: one crossing, then seal all."""
-        if self.sim.now < getattr(self, "_swap_until", 0.0):
-            self.packets_dropped_by_click += len(inners)
-            yield from self._charge(len(inners) * self.model.partition_fixed)
-            return
-        base = 0.0
-        for inner in inners:
-            size = len(inner)
-            base += (
-                client_egress_cost(self.model, size, self.mode)
-                - crypto_cost(self.model, size, self.mode)
-                + self.model.partition_fixed
-            )
-        results, enclave_cost = self._enclave_batch(inners, "egress")
-        yield from self._charge(base + enclave_cost)
-        to_protect = []
-        for accepted, inner in results:
-            if not accepted:
-                self.packets_dropped_by_click += 1
-                continue
-            inner_bytes = inner.serialize()
-            self.inner_bytes_sent += len(inner_bytes)
-            frag_id, pieces = self.fragmenter.split(inner_bytes)
-            for index, piece in enumerate(pieces):
-                packet = VpnPacket(
-                    opcode=OP_DATA,
-                    session_id=self.session_id,
-                    packet_id=self._take_packet_id(),
-                    frag_id=frag_id,
-                    frag_index=index,
-                    frag_count=len(pieces),
-                )
-                to_protect.append((packet, piece))
-        for packet in self.tx_channel.protect_batch(to_protect):
-            self.sock.sendto(packet.serialize(), self.server_addr, self.server_port)
-
-    def _handle_data_batch(self, packets):
-        """Burst form of ``_handle_data``: authenticate the burst, then
-        run every completed inner packet through one enclave crossing."""
-        fresh = []
-        for packet in packets:
-            if self.replay.check_and_update(packet.packet_id):
-                fresh.append(packet)
-            else:
-                self.packets_rejected += 1
-        fragment_cost = 0.0
-        inners = []
-        for packet, plaintext in zip(fresh, self.rx_channel.unprotect_batch(fresh)):
-            if plaintext is None:
-                self.packets_rejected += 1
-                continue
-            fragment_cost += ingress_fragment_cost(
-                self.model, len(plaintext), self.fragment_crypto_mode()
-            )
-            inner_bytes = self.reassembler.add(
-                packet.session_id, packet.frag_id, packet.frag_index, packet.frag_count, plaintext
-            )
-            if inner_bytes is None:
-                continue
-            try:
-                inners.append(parse_ipv4(inner_bytes))
-            except ValueError:
-                self.packets_rejected += 1
-        if self.sim.now < getattr(self, "_swap_until", 0.0):
-            self.packets_dropped_by_click += len(inners)
-            yield from self._charge(
-                fragment_cost + len(inners) * self.model.partition_fixed
-            )
-            return
-        if not inners:
-            yield from self._charge(fragment_cost)
-            return
-        base = sum(
-            client_ingress_completion_cost(self.model, len(inner)) + self.model.partition_fixed
-            for inner in inners
-        )
-        results, enclave_cost = self._enclave_batch(inners, "ingress")
-        yield from self._charge(fragment_cost + base + enclave_cost)
-        for accepted, inner in results:
-            if not accepted:
-                self.packets_dropped_by_click += 1
-                continue
-            self.inner_bytes_received += len(inner)
-            self.tun.write(inner)
 
     # ------------------------------------------------------------------
     # TLS key intake (§III-D)

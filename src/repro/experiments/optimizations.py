@@ -52,11 +52,11 @@ def run_transition_batching(seed: str = "opt1") -> Tuple[float, float, float]:
 def run_burst_batching(seed: str = "opt1b") -> Tuple[float, float, float, float]:
     """One ecall per packet vs one ecall per burst (real code path).
 
-    The batched arm runs the actual ``ecall_batch`` data plane: the
-    client worker drains the run of queued data packets and crosses the
-    boundary once for the whole burst, so the gateway's ecall counter —
-    and the transition charges on its cost ledger — grow per *burst*,
-    not per packet.
+    The batched arm raises ``ecall_batch_limit`` on the one data path:
+    the client worker drains the run of queued data packets (up to 32)
+    and crosses the boundary once for the whole burst, so the gateway's
+    ecall counter — and the transition charges on its cost ledger —
+    grow per *burst*, not per packet.
 
     Returns (single-ecall bps, burst-batched bps, improvement fraction,
     mean packets per crossing observed in the batched run).
@@ -71,13 +71,13 @@ def run_burst_batching(seed: str = "opt1b") -> Tuple[float, float, float, float]
         setup="endbox_sgx",
         use_case="NOP",
         single_ecall_optimization=True,
-        ecall_batching=True,
+        ecall_batch_limit=32,
     ).build()
     world.connect_all()
     batched = measure_max_throughput(world, PACKET_BYTES, 900e6, duration=0.06)
     client = world.clients[0]
     if client.ecall_bursts == 0:
-        raise RuntimeError("batched run never exercised the ecall_batch path")
+        raise RuntimeError("batched run never crossed into the enclave")
     packets_per_crossing = client.ecall_burst_packets / client.ecall_bursts
     return single, batched, batched / single - 1.0, packets_per_crossing
 

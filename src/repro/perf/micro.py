@@ -1,14 +1,15 @@
-"""Scalar-vs-batched micro benchmarks with built-in equivalence checks.
+"""Burst-of-one vs burst-of-N micro benchmarks with equivalence checks.
 
-Every stage times the same workload through the scalar per-packet path
-and the batched fast path, asserts the two produce identical observable
-results, and reports packets (or events) per wall-clock second.  A
-batched path that is fast but wrong must fail here, not in an
-experiment three layers up.
+Every stage times the same workload through the one data path twice:
+once a packet at a time (the "scalar" arm, bursts of one, the paper's
+default) and once in bursts (the "batched" arm), asserts the two
+produce identical observable results, and reports packets (or events)
+per wall-clock second.  A batched path that is fast but wrong must fail
+here, not in an experiment three layers up.
 
 The documented accounting difference — the only one — is the batching
 discount: a burst of N packets pays one EENTER/EEXIT transition pair on
-the gateway ledger where the scalar path pays N pairs.  Stage
+the gateway ledger where N bursts of one pay N pairs.  Stage
 ``vpn_data_channel`` asserts the ledgers differ by exactly that.
 """
 
@@ -118,55 +119,54 @@ def _fresh_enclave(sim: Optional[Simulator] = None) -> EndBoxEnclave:
 # stages
 # ----------------------------------------------------------------------
 def bench_click_dispatch(n: int, burst: int, payload_bytes: int) -> StageResult:
-    """Interpreted vs compiled+batched Click traversal (same graph)."""
+    """Compiled per-packet ``Router.process`` vs ``process_batch`` (same graph)."""
     model = default_cost_model()
     packets = _packets(burst, payload_bytes)
     started = time.perf_counter()
 
-    interp_ledger = CostLedger()
-    interpreted = Router(configs.firewall_config(), model, interp_ledger)
-    interpreted.uncompile()
-    compiled_ledger = CostLedger()
-    compiled = Router(configs.firewall_config(), model, compiled_ledger)
+    single_ledger = CostLedger()
+    single = Router(configs.firewall_config(), model, single_ledger)
+    batch_ledger = CostLedger()
+    batched = Router(configs.firewall_config(), model, batch_ledger)
 
     # equivalence first: verdicts, rewritten bytes, counters, charges
-    interp_out = [interpreted.process(p) for p in packets]
-    compiled_out = compiled.process_batch(packets)
-    assert [a for a, _ in interp_out] == [a for a, _ in compiled_out]
-    assert [p.serialize() for _, p in interp_out] == [p.serialize() for _, p in compiled_out]
-    for name, element in interpreted.elements.items():
-        twin = compiled.elements[name]
+    single_out = [single.process(p) for p in packets]
+    batch_out = batched.process_batch(packets)
+    assert [a for a, _ in single_out] == [a for a, _ in batch_out]
+    assert [p.serialize() for _, p in single_out] == [p.serialize() for _, p in batch_out]
+    for name, element in single.elements.items():
+        twin = batched.elements[name]
         assert (element.packets_in, element.packets_out) == (twin.packets_in, twin.packets_out)
-    assert math.isclose(interp_ledger.total, compiled_ledger.total, rel_tol=1e-12)
+    assert single_ledger.total == batch_ledger.total
 
     rounds = n // burst
 
     def scalar_pass():
         t0 = time.perf_counter()
         for i in range(n):
-            interpreted.process(packets[i % burst])
+            single.process(packets[i % burst])
         return n, time.perf_counter() - t0
 
     def batched_pass():
         t0 = time.perf_counter()
         for _ in range(rounds):
-            compiled.process_batch(packets)
+            batched.process_batch(packets)
         return rounds * burst, time.perf_counter() - t0
 
-    scalar, batched = _race(scalar_pass, batched_pass)
+    scalar, batched_rate = _race(scalar_pass, batched_pass)
 
     return StageResult(
         "click_dispatch",
         scalar,
-        batched,
+        batched_rate,
         time.perf_counter() - started,
-        {"graph": "firewall", "interpreted_is_scalar": 1.0},
+        {"graph": "firewall"},
     )
 
 
 def bench_vpn_data_channel(n: int, burst: int, payload_bytes: int) -> StageResult:
-    """The data-plane ecall per packet vs one ``process_packet_batch``
-    crossing per burst — the §IV-A hot path this PR is about."""
+    """The ``process_packet`` ecall with bursts of one vs one crossing per
+    burst — the §IV-A hot path."""
     endbox = _fresh_enclave()
     gateway = endbox.gateway
     packets = _packets(burst, payload_bytes)
@@ -176,12 +176,12 @@ def bench_vpn_data_channel(n: int, burst: int, payload_bytes: int) -> StageResul
     # equivalence: same results, ledgers apart by the transition discount
     gateway.ledger.drain()
     scalar_out = [
-        gateway.ecall("process_packet", p, "egress", mode, True, payload_bytes=len(p))
+        gateway.ecall("process_packet", [p], "egress", mode, True, payload_bytes=len(p))[0]
         for p in packets
     ]
     scalar_cost = gateway.ledger.drain()
     batch_out = gateway.ecall(
-        "process_packet_batch",
+        "process_packet",
         packets,
         "egress",
         mode,
@@ -207,7 +207,7 @@ def bench_vpn_data_channel(n: int, burst: int, payload_bytes: int) -> StageResul
         t0 = time.perf_counter()
         for i in range(n):
             p = packets[i % burst]
-            gateway.ecall("process_packet", p, "egress", mode, True, payload_bytes=len(p))
+            gateway.ecall("process_packet", [p], "egress", mode, True, payload_bytes=len(p))
             gateway.ledger.drain()
         elapsed = time.perf_counter() - t0
         crossings["scalar"] = (gateway.ecalls.value - before) / n
@@ -218,7 +218,7 @@ def bench_vpn_data_channel(n: int, burst: int, payload_bytes: int) -> StageResul
         t0 = time.perf_counter()
         for _ in range(rounds):
             gateway.ecall(
-                "process_packet_batch", packets, "egress", mode, True, payload_bytes=total_bytes
+                "process_packet", packets, "egress", mode, True, payload_bytes=total_bytes
             )
             gateway.ledger.drain()
         elapsed = time.perf_counter() - t0
@@ -322,8 +322,8 @@ def bench_end_to_end(n: int, burst: int, payload_bytes: int) -> StageResult:
         t0 = time.perf_counter()
         for i in range(n):
             p = packets[i % burst]
-            _accepted, out = gateway.ecall(
-                "process_packet", p, "egress", mode, True, payload_bytes=len(p)
+            [(_accepted, out)] = gateway.ecall(
+                "process_packet", [p], "egress", mode, True, payload_bytes=len(p)
             )
             gateway.ledger.drain()
             pid += 1
@@ -339,7 +339,7 @@ def bench_end_to_end(n: int, burst: int, payload_bytes: int) -> StageResult:
         t0 = time.perf_counter()
         for _ in range(rounds):
             results = gateway.ecall(
-                "process_packet_batch", packets, "egress", mode, True, payload_bytes=total_bytes
+                "process_packet", packets, "egress", mode, True, payload_bytes=total_bytes
             )
             gateway.ledger.drain()
             items = []

@@ -161,36 +161,6 @@ class EnclaveGateway:
             self.enclave._leave()
             self._charge_transition(0)  # the EEXIT side
 
-    def ecall_batch(self, name: str, calls, *, payload_bytes: int = 0, **kwargs: Any) -> list:
-        """Enter the enclave once and run ``name`` for every argument tuple.
-
-        §IV-A batching taken one step further: a burst of ``len(calls)``
-        requests crosses the boundary with a single EENTER/EEXIT pair,
-        so the ledger is charged one transition each way plus the copy
-        cost of the whole burst (``payload_bytes``).  Everything else is
-        unchanged from the scalar :meth:`ecall` — in particular, the
-        declared argument validator still runs for *every* item before
-        the enclave is entered (a hostile burst must not smuggle one bad
-        packet among good ones), and per-item handler costs (boundary
-        copies, EPC tax, crypto) are still charged per item.
-
-        Returns the list of per-item handler results, in order.
-        """
-        validator = self._ecall_validators.get(name)
-        if validator is not None:
-            for args in calls:
-                if not validator(*args, **kwargs):
-                    raise InterfaceViolation(f"ecall {name!r}: argument sanity check failed")
-        handler = self.enclave._enter(name)
-        self.ecalls.inc()
-        self._charge_transition(payload_bytes)
-        try:
-            enclave = self.enclave
-            return [handler(enclave, self, *args, **kwargs) for args in calls]
-        finally:
-            self.enclave._leave()
-            self._charge_transition(0)  # the EEXIT side
-
     def ocall(self, name: str, *args: Any, payload_bytes: int = 0, **kwargs: Any) -> Any:
         """Call out of the enclave into untrusted code.
 

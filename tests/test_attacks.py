@@ -47,7 +47,7 @@ def test_downgrade_attack_defeated():
 
 def test_iago_attacks_defeated():
     reports = run_iago_attacks()
-    assert len(reports) == 7
+    assert len(reports) == 8
     assert_all_defeated(reports)
 
 

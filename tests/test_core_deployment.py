@@ -170,12 +170,14 @@ def test_config_update_full_loop():
     session = next(iter(world.server.sessions_by_peer.values()))
     assert session.client_version == 2
     # the new configuration is live in the enclave
-    accepted, _ = client.endbox.gateway.ecall(
+    [(accepted, _)] = client.endbox.gateway.ecall(
         "process_packet",
-        __import__("repro.netsim.packet", fromlist=["IPv4Packet"]).IPv4Packet(
-            src=client.tunnel_ip, dst=world.internal.address,
-            l4=__import__("repro.netsim.packet", fromlist=["UdpDatagram"]).UdpDatagram(1, 23, b"x"),
-        ),
+        [
+            __import__("repro.netsim.packet", fromlist=["IPv4Packet"]).IPv4Packet(
+                src=client.tunnel_ip, dst=world.internal.address,
+                l4=__import__("repro.netsim.packet", fromlist=["UdpDatagram"]).UdpDatagram(1, 23, b"x"),
+            )
+        ],
         "egress",
         "encrypt+mac",
         True,

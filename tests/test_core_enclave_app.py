@@ -119,8 +119,8 @@ def initialized(world):
 
 def test_process_packet_accepts_and_flags_egress(initialized):
     endbox, _sim = initialized
-    accepted, packet = endbox.gateway.ecall(
-        "process_packet", udp_packet(), "egress", "encrypt+mac", True
+    [(accepted, packet)] = endbox.gateway.ecall(
+        "process_packet", [udp_packet()], "egress", "encrypt+mac", True
     )
     assert accepted
     assert packet.tos == ENDBOX_PROCESSED_TOS
@@ -128,8 +128,8 @@ def test_process_packet_accepts_and_flags_egress(initialized):
 
 def test_process_packet_no_flag_when_disabled(initialized):
     endbox, _sim = initialized
-    accepted, packet = endbox.gateway.ecall(
-        "process_packet", udp_packet(), "egress", "encrypt+mac", False
+    [(accepted, packet)] = endbox.gateway.ecall(
+        "process_packet", [udp_packet()], "egress", "encrypt+mac", False
     )
     assert accepted and packet.tos == 0
 
@@ -137,8 +137,8 @@ def test_process_packet_no_flag_when_disabled(initialized):
 def test_flagged_ingress_bypasses_click(initialized):
     endbox, _sim = initialized
     before = endbox.enclave.trusted_state["click"].router.packets_processed
-    accepted, _packet = endbox.gateway.ecall(
-        "process_packet", udp_packet(tos=ENDBOX_PROCESSED_TOS), "ingress", "encrypt+mac", True
+    [(accepted, _packet)] = endbox.gateway.ecall(
+        "process_packet", [udp_packet(tos=ENDBOX_PROCESSED_TOS)], "ingress", "encrypt+mac", True
     )
     assert accepted
     assert endbox.enclave.trusted_state["click"].router.packets_processed == before
@@ -147,16 +147,16 @@ def test_flagged_ingress_bypasses_click(initialized):
 def test_process_packet_charges_ledger(initialized):
     endbox, _sim = initialized
     endbox.gateway.ledger.drain()
-    endbox.gateway.ecall("process_packet", udp_packet(b"x" * 1000), "egress", "encrypt+mac", True)
+    endbox.gateway.ecall("process_packet", [udp_packet(b"x" * 1000)], "egress", "encrypt+mac", True)
     assert endbox.gateway.ledger.pending > 0
 
 
 def test_interface_validator_rejects_garbage(initialized):
     endbox, _sim = initialized
     with pytest.raises(InterfaceViolation):
-        endbox.gateway.ecall("process_packet", b"not-a-packet", "egress", "encrypt+mac", True)
+        endbox.gateway.ecall("process_packet", [b"not-a-packet"], "egress", "encrypt+mac", True)
     with pytest.raises(InterfaceViolation):
-        endbox.gateway.ecall("process_packet", udp_packet(), "sideways", "encrypt+mac", True)
+        endbox.gateway.ecall("process_packet", [udp_packet()], "sideways", "encrypt+mac", True)
 
 
 def test_firewall_config_drops_in_enclave(world):
@@ -168,9 +168,9 @@ def test_firewall_config_drops_in_enclave(world):
         "",
         sim=Simulator(),
     )
-    accepted, _ = endbox.gateway.ecall("process_packet", udp_packet(dport=23), "egress", "encrypt+mac", True)
+    [(accepted, _)] = endbox.gateway.ecall("process_packet", [udp_packet(dport=23)], "egress", "encrypt+mac", True)
     assert not accepted
-    accepted, _ = endbox.gateway.ecall("process_packet", udp_packet(dport=80), "egress", "encrypt+mac", True)
+    [(accepted, _)] = endbox.gateway.ecall("process_packet", [udp_packet(dport=80)], "egress", "encrypt+mac", True)
     assert accepted
 
 
@@ -194,7 +194,7 @@ def test_apply_config_hotswaps_and_bumps_version(initialized, world):
     assert version == 2
     assert timings.hotswap_s > 0
     assert timings.decrypt_s > 0  # the bundle was encrypted
-    accepted, _ = endbox.gateway.ecall("process_packet", udp_packet(dport=23), "egress", "encrypt+mac", True)
+    [(accepted, _)] = endbox.gateway.ecall("process_packet", [udp_packet(dport=23)], "egress", "encrypt+mac", True)
     assert not accepted
 
 
@@ -244,12 +244,12 @@ def test_apply_config_updates_ruleset(initialized, world):
     rules = 'alert udp any any -> any 5001 (msg:"x"; content:"forbidden"; sid:1;)'
     bundle = make_bundle(ca, 2, config=click_configs.idps_config(), rules=rules)
     endbox.gateway.ecall("apply_config", bundle.blob)
-    accepted, _ = endbox.gateway.ecall(
-        "process_packet", udp_packet(b"this is forbidden content"), "egress", "encrypt+mac", True
+    [(accepted, _)] = endbox.gateway.ecall(
+        "process_packet", [udp_packet(b"this is forbidden content")], "egress", "encrypt+mac", True
     )
     assert not accepted
-    accepted, _ = endbox.gateway.ecall(
-        "process_packet", udp_packet(b"clean"), "egress", "encrypt+mac", True
+    [(accepted, _)] = endbox.gateway.ecall(
+        "process_packet", [udp_packet(b"clean")], "egress", "encrypt+mac", True
     )
     assert accepted
 
@@ -261,7 +261,7 @@ def test_simulation_mode_charges_no_transitions(world):
     provision_client(sim_enclave, platform, ca)
     sim_enclave.gateway.ecall("initialize", click_configs.nop_config(), "", sim=Simulator())
     sim_enclave.gateway.ledger.drain()
-    sim_enclave.gateway.ecall("process_packet", udp_packet(b"y" * 1000), "egress", "encrypt+mac", True)
+    sim_enclave.gateway.ecall("process_packet", [udp_packet(b"y" * 1000)], "egress", "encrypt+mac", True)
     hw_free = sim_enclave.gateway.ledger.pending
     # copies + crypto are still charged, but no transition costs
     model = default_cost_model()

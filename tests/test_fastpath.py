@@ -1,16 +1,17 @@
 """Equivalence tests for the batched fast path.
 
-Every batched mechanism this PR adds — channel batch crypto, compiled
-Click dispatch, the gateway's single-crossing ``ecall_batch``, the fused
-``process_packet_batch`` ecall and the client's burst-draining worker —
-is asserted to be observably identical to its scalar counterpart, with
-one documented exception: a burst of N packets pays one EENTER/EEXIT
-transition pair on the gateway ledger where the scalar path pays N.
+Channel batch crypto, compiled Click dispatch, the burst-native
+``process_packet`` ecall and the client's burst-draining worker are
+asserted to be observably identical to their per-packet use, with one
+documented exception: a burst of N packets pays one EENTER/EEXIT
+transition pair on the gateway ledger where N bursts of one pay N.  The
+default path (bursts of one) is pinned to its recorded modeled outcome.
 """
 
 import json
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,7 @@ from repro.crypto.cachestate import (
 )
 from repro.crypto.stream import KeystreamCipher
 from repro.faults import trace_digest
-from repro.fleet import DeploymentSpec
+from repro.fleet import DeploymentSpec, DeploymentSpecError
 from repro.costs import default_cost_model
 from repro.netsim import IPv4Packet, UdpDatagram, parse_ipv4
 from repro.netsim.packet import ENDBOX_PROCESSED_TOS
@@ -42,6 +43,7 @@ from repro.telemetry.registry import fork_isolated
 from repro.tlslib.record import RecordProtection, TYPE_APPLICATION_DATA, parse_records
 from repro.vpn import channel as vpn_channel
 from repro.vpn.channel import DataChannel, ProtectionMode
+from repro.vpn.costing import crypto_cost
 from repro.vpn.fragment import Fragmenter, Reassembler
 from repro.vpn.protocol import OP_DATA, OP_PING, VpnPacket
 
@@ -193,60 +195,93 @@ def test_uncompiled_process_batch_falls_back_to_scalar():
 
 
 # ----------------------------------------------------------------------
-# gateway: one crossing per burst
+# the process_packet ecall: a burst of N equals N bursts of one
 # ----------------------------------------------------------------------
-def test_ecall_batch_single_crossing_and_discount(endbox):
-    gateway = endbox.gateway
-    packets = burst(8)
-
-    gateway.ledger.drain()
-    before = gateway.ecalls.value
-    scalar_out = [
-        gateway.ecall("process_packet", p, "egress", MODE, True, payload_bytes=len(p))
-        for p in packets
-    ]
-    scalar_crossings = gateway.ecalls.value - before
-    scalar_cost = gateway.ledger.drain()
-
-    before = gateway.ecalls.value
-    batch_out = gateway.ecall_batch(
+def cross(gateway, packets, direction="egress"):
+    """One ``process_packet`` crossing for ``packets``."""
+    return gateway.ecall(
         "process_packet",
-        [(p, "egress", MODE, True) for p in packets],
+        list(packets),
+        direction,
+        MODE,
+        True,
         payload_bytes=sum(len(p) for p in packets),
     )
-    batch_crossings = gateway.ecalls.value - before
-    batch_cost = gateway.ledger.drain()
 
-    assert scalar_crossings == len(packets)
+
+def cross_singly(gateway, packets, direction="egress"):
+    """``len(packets)`` crossings, each a burst of one."""
+    return [cross(gateway, [p], direction)[0] for p in packets]
+
+
+@pytest.fixture()
+def recording(endbox):
+    """The enclave re-initialised over a ledger that keeps every charge."""
+    gateway = endbox.gateway
+    gateway.ledger = RecordingLedger()
+    config = click_configs.nop_config()
+    gateway.ecall("initialize", config, "", sim=Simulator(), payload_bytes=len(config))
+    gateway.ledger.drain()
+    gateway.ledger.charges.clear()
+    return endbox
+
+
+def assert_burst_equals_singles(gateway, singles, batched, singles_charges, batched_charges, n):
+    """Same verdicts and bytes; the ledgers differ by exactly N-1 transition pairs."""
+    assert [a for a, _ in singles] == [a for a, _ in batched]
+    assert [p.serialize() for _, p in singles] == [p.serialize() for _, p in batched]
+    saved = Counter(singles_charges) - Counter(batched_charges)
+    assert saved == Counter({gateway.transition_cost: 2 * (n - 1)})
+    assert not Counter(batched_charges) - Counter(singles_charges)
+
+
+def test_ecall_batch_single_crossing_and_discount(recording):
+    gateway = recording.gateway
+    ledger = gateway.ledger
+    packets = burst(8)
+
+    before = gateway.ecalls.value
+    singles = cross_singly(gateway, packets)
+    single_crossings = gateway.ecalls.value - before
+    singles_charges = list(ledger.charges)
+    singles_cost = ledger.drain()
+    ledger.charges.clear()
+
+    before = gateway.ecalls.value
+    batched = cross(gateway, packets)
+    batch_crossings = gateway.ecalls.value - before
+    batch_cost = ledger.drain()
+
+    assert single_crossings == len(packets)
     assert batch_crossings == 1
-    assert [a for a, _ in scalar_out] == [a for a, _ in batch_out]
-    assert [p.serialize() for _, p in scalar_out] == [p.serialize() for _, p in batch_out]
-    # the only accounting difference: N-1 saved EENTER/EEXIT pairs
+    assert_burst_equals_singles(
+        gateway, singles, batched, singles_charges, ledger.charges, len(packets)
+    )
     discount = 2 * gateway.transition_cost * (len(packets) - 1)
-    assert math.isclose(scalar_cost - batch_cost, discount, rel_tol=1e-9)
+    assert math.isclose(singles_cost - batch_cost, discount, rel_tol=1e-9)
 
 
 def test_ecall_batch_validates_every_item_before_entering(endbox):
     gateway = endbox.gateway
     good = udp_packet()
-    calls = [(good, "egress", MODE, True), (b"not-a-packet", "egress", MODE, True)]
     before = gateway.ecalls.value
     with pytest.raises(InterfaceViolation):
-        gateway.ecall_batch("process_packet", calls)
+        gateway.ecall("process_packet", [good, b"not-a-packet", good], "egress", MODE, True)
     assert gateway.ecalls.value == before  # the enclave was never entered
 
 
-# ----------------------------------------------------------------------
-# the fused process_packet_batch ecall
-# ----------------------------------------------------------------------
-def test_process_packet_batch_matches_scalar_egress(endbox):
-    gateway = endbox.gateway
+def test_process_packet_batch_matches_scalar_egress(recording):
+    gateway = recording.gateway
+    ledger = gateway.ledger
     packets = burst(8)
-    scalar_out = [gateway.ecall("process_packet", p, "egress", MODE, True) for p in packets]
-    batch_out = gateway.ecall("process_packet_batch", packets, "egress", MODE, True)
-    assert [a for a, _ in scalar_out] == [a for a, _ in batch_out]
-    assert [p.serialize() for _, p in scalar_out] == [p.serialize() for _, p in batch_out]
-    assert all(p.tos == ENDBOX_PROCESSED_TOS for _, p in batch_out)
+    singles = cross_singly(gateway, packets)
+    singles_charges = list(ledger.charges)
+    ledger.charges.clear()
+    batched = cross(gateway, packets)
+    assert_burst_equals_singles(
+        gateway, singles, batched, singles_charges, ledger.charges, len(packets)
+    )
+    assert all(p.tos == ENDBOX_PROCESSED_TOS for _, p in batched)
 
 
 def test_process_packet_batch_firewall_verdicts(endbox):
@@ -255,101 +290,225 @@ def test_process_packet_batch_firewall_verdicts(endbox):
         "t :: ToDevice(); f -> fw -> t;"
     )
     endbox.gateway.ecall("initialize", config, "", sim=Simulator(), payload_bytes=len(config))
+    fw = endbox.enclave.trusted_state["click"].router.element("fw")
     packets = [udp_packet(dport=23), udp_packet(dport=80), udp_packet(dport=23)]
-    scalar = [endbox.gateway.ecall("process_packet", p, "egress", MODE, True) for p in packets]
-    batched = endbox.gateway.ecall("process_packet_batch", packets, "egress", MODE, True)
-    assert [a for a, _ in batched] == [a for a, _ in scalar] == [False, True, False]
+    singles = cross_singly(endbox.gateway, packets)
+    counts = (fw.packets_in, fw.packets_out)
+    batched = cross(endbox.gateway, packets)
+    assert [a for a, _ in batched] == [a for a, _ in singles] == [False, True, False]
+    assert (fw.packets_in, fw.packets_out) == (2 * counts[0], 2 * counts[1])
 
 
-def test_process_packet_batch_ingress_bypass_matches_scalar(endbox):
-    gateway = endbox.gateway
-    router = endbox.enclave.trusted_state["click"].router
+def test_process_packet_batch_ingress_bypass_matches_scalar(recording):
+    gateway = recording.gateway
+    ledger = gateway.ledger
+    router = recording.enclave.trusted_state["click"].router
     flagged = [udp_packet(tos=ENDBOX_PROCESSED_TOS) for _ in range(3)]
     unflagged = [udp_packet() for _ in range(2)]
     packets = [flagged[0], unflagged[0], flagged[1], unflagged[1], flagged[2]]
 
     before = router.packets_processed
-    scalar_out = [gateway.ecall("process_packet", p, "ingress", MODE, True) for p in packets]
-    scalar_clicked = router.packets_processed - before
+    singles = cross_singly(gateway, packets, "ingress")
+    singles_clicked = router.packets_processed - before
+    singles_charges = list(ledger.charges)
+    ledger.charges.clear()
 
     before = router.packets_processed
-    batch_out = gateway.ecall("process_packet_batch", packets, "ingress", MODE, True)
+    batched = cross(gateway, packets, "ingress")
     batch_clicked = router.packets_processed - before
 
-    assert [a for a, _ in scalar_out] == [a for a, _ in batch_out]
-    assert scalar_clicked == batch_clicked == len(unflagged)  # flagged ones bypass Click
+    assert_burst_equals_singles(
+        gateway, singles, batched, singles_charges, ledger.charges, len(packets)
+    )
+    assert singles_clicked == batch_clicked == len(unflagged)  # flagged ones bypass Click
+    assert [p.tos for _, p in batched] == [p.tos for p in packets]  # ingress never flags
 
 
-def test_process_packet_batch_cost_matches_scalar_modulo_discount(endbox):
-    gateway = endbox.gateway
+def test_process_packet_batch_cost_matches_scalar_modulo_discount(recording):
+    gateway = recording.gateway
+    ledger = gateway.ledger
     packets = burst(16, payload_bytes=700)
-    gateway.ledger.drain()
-    for p in packets:
-        gateway.ecall("process_packet", p, "egress", MODE, True, payload_bytes=len(p))
-    scalar_cost = gateway.ledger.drain()
-    gateway.ecall(
-        "process_packet_batch",
-        packets,
-        "egress",
-        MODE,
-        True,
-        payload_bytes=sum(len(p) for p in packets),
+    singles = cross_singly(gateway, packets)
+    singles_charges = list(ledger.charges)
+    singles_cost = ledger.drain()
+    ledger.charges.clear()
+    batched = cross(gateway, packets)
+    batch_cost = ledger.drain()
+    assert_burst_equals_singles(
+        gateway, singles, batched, singles_charges, ledger.charges, len(packets)
     )
-    batch_cost = gateway.ledger.drain()
     discount = 2 * gateway.transition_cost * (len(packets) - 1)
-    assert math.isclose(scalar_cost - batch_cost, discount, rel_tol=1e-9)
+    assert math.isclose(singles_cost - batch_cost, discount, rel_tol=1e-9)
 
 
-def test_process_packet_batch_single_item_costs_exactly_scalar(endbox):
-    gateway = endbox.gateway
+def test_process_packet_batch_single_item_costs_exactly_scalar(recording):
+    # a burst of one books what the paper's per-packet ecall books, as
+    # separate ledger entries in the same order: EENTER, boundary
+    # copies, EPC tax, data-channel crypto, Click, EEXIT
+    gateway = recording.gateway
+    model = recording.enclave.trusted_state["cost_model"]
     packet = udp_packet(make_payload(700))
-    gateway.ledger.drain()
-    gateway.ecall("process_packet", packet, "egress", MODE, True, payload_bytes=len(packet))
-    scalar_cost = gateway.ledger.drain()
-    gateway.ecall(
-        "process_packet_batch", [packet], "egress", MODE, True, payload_bytes=len(packet)
-    )
-    batch_cost = gateway.ledger.drain()
-    assert math.isclose(scalar_cost, batch_cost, rel_tol=1e-12)
+    size = len(packet)
+    cross(gateway, [packet])
+    charges = gateway.ledger.charges
+    assert charges[:4] == [
+        gateway.transition_cost,
+        2 * model.memcpy(size),
+        size * model.epc_per_byte,
+        crypto_cost(model, size, ProtectionMode.ENCRYPT_AND_MAC),
+    ]
+    assert charges[-1] == gateway.transition_cost
+    total = 0.0
+    for charge in charges:
+        total += charge
+    assert gateway.ledger.drain() == total
 
 
 def test_process_packet_batch_validator_rejects(endbox):
     gateway = endbox.gateway
     good = udp_packet()
-    with pytest.raises(InterfaceViolation):
-        gateway.ecall("process_packet_batch", "not-a-list", "egress", MODE, True)
-    with pytest.raises(InterfaceViolation):
-        gateway.ecall("process_packet_batch", [], "egress", MODE, True)
-    with pytest.raises(InterfaceViolation):
-        gateway.ecall("process_packet_batch", [good, b"junk"], "egress", MODE, True)
-    with pytest.raises(InterfaceViolation):
-        gateway.ecall("process_packet_batch", [good], "sideways", MODE, True)
-    with pytest.raises(InterfaceViolation):
-        gateway.ecall("process_packet_batch", [good] * 4097, "egress", MODE, True)
+    for args in (
+        (good, "egress", MODE, True),  # a bare packet is not a burst
+        ("not-a-list", "egress", MODE, True),
+        ([], "egress", MODE, True),
+        ([good, b"junk"], "egress", MODE, True),
+        ([good], "sideways", MODE, True),
+        ([good], "egress", "rot13", True),
+        ([good], "egress", MODE, 1),
+        ([good] * 4097, "egress", MODE, True),
+    ):
+        with pytest.raises(InterfaceViolation):
+            gateway.ecall("process_packet", *args)
 
 
 # ----------------------------------------------------------------------
-# the batched client
+# the client: one burst-draining worker, ecall_batch_limit per crossing
 # ----------------------------------------------------------------------
-def test_ecall_batching_requires_single_ecall_optimization():
-    with pytest.raises(ValueError, match="single-ecall"):
-        DeploymentSpec(ecall_batching=True, single_ecall_optimization=False).build()
+def modeled_outcome(spec, packet_bytes, rate_bps, denied_bps=0.0):
+    """Modeled CPU seconds, clock and delivery counts of a short two-way run.
 
-
-def test_ecall_batch_limit_must_allow_batching():
-    with pytest.raises(ValueError, match="batch"):
-        DeploymentSpec(ecall_batching=True, ecall_batch_limit=1).build()
-
-
-def test_default_deployment_stays_scalar():
-    world = DeploymentSpec().build()
+    One client sends to the internal host and the internal host sends
+    back for 20 ms; ``denied_bps`` adds flows to port 23 both ways,
+    which the FW graph rejects on egress and on ingress.
+    """
+    world = spec.build()
+    world.connect_all()
     client = world.clients[0]
-    assert client.ecall_batching is False
-    assert client.ecall_bursts == 0
+    up_sink = UdpSink(world.internal, 5201)
+    down_sink = UdpSink(client.host, 5202)
+
+    def flow(src, dst, port, rate):
+        return UdpTrafficSource(src, dst, port, rate_bps=rate, packet_bytes=packet_bytes)
+
+    flows = [
+        flow(client.host, world.internal.address, 5201, rate_bps),
+        flow(world.internal, client.tunnel_ip, 5202, rate_bps),
+    ]
+    if denied_bps:
+        flows += [
+            flow(client.host, world.internal.address, 23, denied_bps),
+            flow(world.internal, client.tunnel_ip, 23, denied_bps),
+        ]
+    for source in flows:
+        source.start()
+    world.sim.run(until=world.sim.now + 0.02)
+    for source in flows:
+        source.stop()
+    world.sim.run(until=world.sim.now + 0.05)  # drain
+    return (
+        client.host.cpu.busy_time.hex(),
+        world.server_host.cpu.busy_time.hex(),
+        world.sim.now.hex(),
+        up_sink.packets,
+        up_sink.inner_bytes,
+        down_sink.packets,
+        down_sink.inner_bytes,
+        client.packets_dropped_by_click,
+        client.endbox.gateway.ledger.total.hex(),
+        client.endbox.gateway.ecalls.value,
+    )
+
+
+#: the default path's modeled outcome, recorded before the scalar and
+#: burst data paths were merged into one; it must not move by one ulp
+PINNED_OUTCOMES = {
+    "fw_64": (
+        "0x1.2b2ee4fe47a36p-5",
+        "0x1.33b99c12a2ad0p-7",
+        "0x1.423d70a3d70a4p+3",
+        782,
+        50048,
+        782,
+        50048,
+        158,
+        "0x1.df4aae4511656p-7",
+        1729,
+    ),
+    "nop_16k": (
+        "0x1.7c606475f6a9fp-7",
+        "0x1.e3e849356c351p-8",
+        "0x1.423d70a3d70a4p+3",
+        77,
+        1261568,
+        77,
+        1261568,
+        0,
+        "0x1.c4df3faf85274p-8",
+        238,
+    ),
+}
+
+
+def test_default_path_modeled_outcome_pinned():
+    fw = DeploymentSpec(clients=1, use_case="FW", seed="pinned")
+    nop = DeploymentSpec(clients=1, use_case="NOP", seed="pinned")
+    assert modeled_outcome(fw, 64, 20e6, denied_bps=2e6) == PINNED_OUTCOMES["fw_64"]
+    assert modeled_outcome(nop, 16384, 500e6) == PINNED_OUTCOMES["nop_16k"]
+
+
+def test_batch_limit_one_builds_default_outcome():
+    spec = DeploymentSpec(clients=1, use_case="FW", seed="pinned", ecall_batch_limit=1)
+    world = spec.build()
+    assert world.clients[0].ecall_batch_limit == 1
+    assert modeled_outcome(spec, 64, 20e6, denied_bps=2e6) == PINNED_OUTCOMES["fw_64"]
+
+
+def test_batch_limit_zero_rejected():
+    with pytest.raises(DeploymentSpecError, match="ecall_batch_limit"):
+        DeploymentSpec(ecall_batch_limit=0)
+
+
+def test_batch_limit_requires_single_ecall_optimization():
+    with pytest.raises(DeploymentSpecError, match="single_ecall_optimization"):
+        DeploymentSpec(ecall_batch_limit=32, single_ecall_optimization=False)
+
+
+def test_swap_window_counts_each_dropped_packet_once():
+    world = DeploymentSpec(seed="swap-window").build()
+    world.connect_all()
+    client = world.clients[0]
+    sim = world.sim
+    sink = UdpSink(world.internal, 5201)
+    sock = client.host.stack.udp_socket()
+    client._swap_until = sim.now + 0.05  # the graph is mid-hot-swap for 50 ms
+    dropped = client.packets_dropped_by_click
+    busy = client.host.cpu.busy_time
+
+    def sender():
+        for _ in range(21):
+            sock.sendto(b"x" * 64, world.internal.address, 5201)
+            yield sim.timeout(0.002)
+
+    sim.process(sender())
+    sim.run(until=sim.now + 0.1)
+    assert sink.packets == 0
+    assert client.packets_dropped_by_click - dropped == 21
+    # each refused packet still pays its partition overhead
+    assert (client.host.cpu.busy_time - busy).hex() == "0x1.34d567559aaafp-12"
 
 
 def test_batched_client_forms_bursts_and_delivers():
-    world = DeploymentSpec(ecall_batching=True, seed="fastpath").build()
+    world = DeploymentSpec(ecall_batch_limit=32, seed="fastpath").build()
     world.connect_all()
     client = world.clients[0]
     sink = UdpSink(world.internal, 5201)
