@@ -119,7 +119,7 @@ OWNERSHIP: List[SharedStateWaiver] = [
     ),
     SharedStateWaiver(
         rule="SS603",
-        path="repro/crypto/stream.py",
+        path="repro/crypto/aes.py",
         contains="_CACHE_",
         note=(
             "monotone effectiveness counters feeding the telemetry "
@@ -129,22 +129,12 @@ OWNERSHIP: List[SharedStateWaiver] = [
     ),
     SharedStateWaiver(
         rule="SS603",
-        path="repro/crypto/aes.py",
-        contains="_CACHE_",
-        note=(
-            "monotone effectiveness counters feeding the telemetry "
-            "register_collector bridge; same delta semantics as the "
-            "keystream cache counters"
-        ),
-    ),
-    SharedStateWaiver(
-        rule="SS603",
         path="repro/crypto/hmac.py",
         contains="_CACHE_",
         note=(
             "monotone effectiveness counters feeding the telemetry "
-            "register_collector bridge; same delta semantics as the "
-            "keystream cache counters"
+            "register_collector bridge; registries report deltas over their "
+            "own lifetime and trace digests exclude collector-backed names"
         ),
     ),
     SharedStateWaiver(

@@ -71,8 +71,7 @@ SECRET_FUNCTIONS: Dict[str, str] = {
 SECRET_METHODS: Dict[str, str] = {
     "exchange": "Diffie-Hellman shared secret",
     "_expand_key": "AES round-key schedule",
-    "_keystream": "raw keystream bytes",
-    "_keyed_state": "HMAC keyed pad states",
+    "pad_states": "HMAC keyed pad states",
     "_sealing_key": "SGX sealing key",
     "unseal": "unsealed enclave secrets",
     "decrypt_stream": "middlebox-decrypted TLS plaintext",
@@ -84,15 +83,12 @@ SECRET_METHODS: Dict[str, str] = {
 SECRET_ATTRIBUTES: Dict[str, str] = {
     # symmetric key schedules and caches
     "_round_keys": "AES round keys",
-    "_midstate": "keystream key schedule (SHA-256 midstate over the key)",
     "_hmac_key": "data-channel HMAC key",
     "_mac_key": "record-layer MAC key",
     # per-registry crypto cache block (repro.crypto.cachestate): the
     # PR-2 performance caches, now attribute-scoped instead of global
     "_crypto_caches": "per-registry crypto cache block",
     "aes_schedules": "cached AES key schedules",
-    "keystreams": "cached keystream bytes",
-    "_keystreams": "cached keystream bytes",
     "hmac_pads": "cached HMAC pad states",
     # private scalars / generic key slots (AES, DRBG, x25519 holders)
     "_key": "private key material",

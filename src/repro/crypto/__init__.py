@@ -11,9 +11,10 @@ Two symmetric ciphers are provided behind one interface:
   tests and whenever small amounts of data are protected (control channel,
   configuration files).
 * :class:`~repro.crypto.stream.KeystreamCipher` — a fast keyed keystream
-  cipher (SHA-256 in counter mode).  Large-volume simulated traffic uses
-  this so functional experiments stay fast; the *cost model* still charges
-  AES-128-CBC prices, matching the paper's data channel.
+  cipher (SHAKE-128 over key and nonce, one call per message).
+  Large-volume simulated traffic uses this so functional experiments stay
+  fast; the *cost model* still charges AES-128-CBC prices, matching the
+  paper's data channel.
 
 Security note: this code exists to reproduce a systems paper inside a
 simulator.  It is *not* hardened (no constant-time guarantees) and must

@@ -1,24 +1,22 @@
 """Per-registry crypto cache state: shard-safe, size-bounded caches.
 
-The PR-2 performance caches (AES key schedules, keystream bytes, HMAC
-pad states) used to be module globals — one dict per process.  That is
-exactly the state class the SS6xx shard-safety pass forbids: two
-Simulators sharing a cache observe each other's entries (warm-start
-nondeterminism) and, under the planned parallel sim core, race on it.
+Two per-key caches live here: AES key schedules and HMAC inner/outer
+pad states.  Both hold state a real endpoint also keeps for the life of
+a session key, and both are pure functions of their key.  They used to
+be module globals — one dict per process — which is exactly the state
+class the SS6xx shard-safety pass forbids: two Simulators sharing a
+cache observe each other's entries (warm-start nondeterminism) and,
+under the parallel sim core, race on it.
 
-This module scopes those caches to the owning telemetry
+This module scopes them to the owning telemetry
 :class:`~repro.telemetry.registry.Registry` instead: every Simulator
 owns a fresh registry, so it also owns fresh caches with exactly the
 simulator's lifetime, and :func:`~repro.telemetry.registry.fork_isolated`
-tests get isolated caches for free.  Within one simulator the hit rates
-are unchanged — the VPN's protect-at-sender / unprotect-at-receiver
-double derivation happens under one registry — while cross-simulator
-reuse (which trace digests could never rely on anyway) is gone by
-construction.
+tests get isolated caches for free.  Nothing per message is cached: the
+sender and the receiver of a data-channel record each derive its
+keystream and MAC themselves, as two machines must.
 
-Every cache is **bounded**, and this module owns the caps: a
-million-packet run derives a keystream (and now a MAC record) per
-(key, nonce), so an uncapped dict is a linear memory leak.  Eviction is
+Every cache is **bounded**, and this module owns the caps.  Eviction is
 deterministic — strictly insertion-ordered FIFO via
 :func:`evict_to_cap`, no wall time, no randomness — so two replays of
 the same seed evict the same entries in the same order and every cached
@@ -35,12 +33,8 @@ from __future__ import annotations
 
 from repro.telemetry.registry import Registry
 
-#: (key, nonce) -> keystream bytes (:mod:`repro.crypto.stream`).
-KEYSTREAM_CACHE_ENTRIES = 2048
 #: key -> (inner, outer) pad states (:mod:`repro.crypto.hmac`).
 HMAC_PAD_CACHE_ENTRIES = 4096
-#: (hmac_key, nonce) -> (auth_header, sealed, tag) (:mod:`repro.vpn.channel`).
-MAC_TAG_CACHE_ENTRIES = 2048
 #: key -> AES round keys (:mod:`repro.crypto.aes`).
 AES_SCHEDULE_CACHE_ENTRIES = 1024
 
@@ -65,19 +59,13 @@ def evict_to_cap(cache: dict, cap: int) -> int:
 class CryptoCaches:
     """The per-registry cache block; one per Registry, created on demand."""
 
-    __slots__ = ("aes_schedules", "keystreams", "hmac_pads", "mac_tags")
+    __slots__ = ("aes_schedules", "hmac_pads")
 
     def __init__(self) -> None:
         #: key -> 11 AES round keys (:mod:`repro.crypto.aes`)
         self.aes_schedules: dict = {}
-        #: (key, nonce) -> keystream bytes (:mod:`repro.crypto.stream`)
-        self.keystreams: dict = {}
         #: key -> (inner, outer) pad states (:mod:`repro.crypto.hmac`)
         self.hmac_pads: dict = {}
-        #: (hmac_key, nonce) -> (auth_header, sealed, tag): the record a
-        #: sender MAC'd, kept so the in-process receiver can verify by
-        #: comparison instead of re-running HMAC (:mod:`repro.vpn.channel`)
-        self.mac_tags: dict = {}
 
 
 def caches_for(registry: Registry) -> CryptoCaches:

@@ -31,12 +31,13 @@ def _collect_cache_stats() -> dict:
 register_collector(_collect_cache_stats)
 
 
-def _keyed_state(key: bytes):
+def pad_states(key: bytes):
     """The cached ``(inner, outer)`` pad-state pair for ``key``.
 
     Raw ``hashlib`` objects rather than an ``hmac.HMAC`` instance: the
     per-message cost is then exactly two C-level hash copies, with no
-    Python-object bookkeeping on top.
+    Python-object bookkeeping on top.  Burst callers hoist one lookup
+    per burst and ``copy()`` the returned states once per record.
     """
     # counter increments are OWNERSHIP-waived (monotone, bridged per
     # registry by the collector delta); the pad cache is per-registry
@@ -60,15 +61,9 @@ def _keyed_state(key: bytes):
     return pair
 
 
-#: public alias: burst callers hoist one pad-state lookup per burst and
-#: ``copy()`` the returned states once per record (the chunked
-#: :func:`hmac_sha256`/:func:`hmac_verify` below do exactly this per call)
-pad_states = _keyed_state
-
-
 def hmac_sha256(key: bytes, *chunks: bytes) -> bytes:
     """HMAC-SHA256 of the concatenation of ``chunks`` under ``key``."""
-    inner_base, outer_base = _keyed_state(key)
+    inner_base, outer_base = pad_states(key)
     inner = inner_base.copy()
     for chunk in chunks:
         inner.update(chunk)

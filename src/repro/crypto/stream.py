@@ -1,138 +1,40 @@
 """Fast keyed keystream cipher for bulk simulated traffic.
 
-``KeystreamCipher`` generates keystream blocks as
-``SHA256(key || nonce || counter)`` and XORs them with the data.  Because
-:mod:`hashlib` runs in C, this is orders of magnitude faster than the
-pure-Python AES and keeps functional experiments (real bytes end-to-end)
+``KeystreamCipher`` XORs the data with ``SHAKE-128(key || nonce)``
+squeezed to the message length: one :mod:`hashlib` C call per message,
+no block loop and no cached state beyond the key.  It is a stand-in for
+the data channel's AES-128-CBC, orders of magnitude faster than the
+pure-Python AES, so functional experiments (real bytes end-to-end) stay
 fast.  The simulation *cost model* still charges AES-128-CBC prices for
-the data channel — see ``repro.costs`` — so performance results are
-unaffected by this implementation choice.
+the data channel — see ``repro.costs`` — whatever bytes come out, so
+performance results are unaffected by this implementation choice.
 """
 
 from __future__ import annotations
 
-import hashlib
-import struct
-
-from repro.crypto.cachestate import KEYSTREAM_CACHE_ENTRIES, current_caches
-from repro.telemetry.registry import register_collector
-
-# cache effectiveness stats: module ints (one add on the hot path), fed
-# to repro.telemetry as a global collector — registries report deltas
-# over their own lifetime, so per-simulator hit rates come out right.
-_CACHE_HITS = 0
-_CACHE_MISSES = 0
-_CACHE_EVICTIONS = 0
-
-
-def _collect_cache_stats() -> dict:
-    """Telemetry collector: current keystream-cache counters."""
-    return {
-        "crypto.stream.cache_hits": _CACHE_HITS,
-        "crypto.stream.cache_misses": _CACHE_MISSES,
-        "crypto.stream.cache_clears": _CACHE_EVICTIONS,
-    }
-
-
-register_collector(_collect_cache_stats)
+from hashlib import shake_128
 
 
 class KeystreamCipher:
     """Symmetric keystream cipher: ``ct = pt XOR KS(key, nonce)``.
 
     Encryption and decryption are the same operation.  A fresh ``nonce``
-    must be used per message (the VPN layer uses its packet id).
-
-    Keystream bytes are cached per ``(key, nonce)``: the VPN computes
-    every keystream twice — once to protect at the sender, once to
-    unprotect the same record at the receiver — so the second
-    derivation is a dict hit.  The cache is a pure function of its key,
-    lives per telemetry registry (per Simulator) — see
-    :mod:`repro.crypto.cachestate` — and is bounded by strictly FIFO
-    eviction at :data:`~repro.crypto.cachestate.KEYSTREAM_CACHE_ENTRIES`
-    entries.  Cached streams are stored at full block granularity and
-    handed out as zero-copy :class:`memoryview` slices, never
-    truncate-copied.
+    must be used per message (the VPN layer uses its packet id).  Each
+    end derives the stream itself from the key and nonce, as two
+    machines must.
     """
-
-    #: struct-packed counters, shared across instances: an immutable
-    #: tuple (pure function of the index), so sharing is race-free;
-    #: oversized messages build a local extension instead of growing it
-    _COUNTERS = tuple(struct.pack(">I", counter) for counter in range(64))
 
     def __init__(self, key: bytes) -> None:
         if len(key) < 16:
             raise ValueError("key must be at least 16 bytes")
         self._key = key
-        # Cached key schedule: the SHA-256 midstate over the key prefix
-        # is key-only work, hashed once here and ``copy()``-ed per block
-        # instead of re-absorbing the key for every keystream block.
-        self._midstate = hashlib.sha256(key)
-        # the keystream cache of the registry current at construction:
-        # channels are built under their owning simulator, so lookups on
-        # the hot path skip the current-registry resolution entirely
-        self._keystreams = current_caches().keystreams
-
-    def _generate(self, nonce: bytes, n_blocks: int) -> bytes:
-        """Derive ``n_blocks`` fresh keystream blocks for ``nonce``."""
-        counters = self._COUNTERS
-        if n_blocks > len(counters):
-            counters = tuple(struct.pack(">I", index) for index in range(n_blocks))
-        # per message: absorb the nonce once on top of the key midstate
-        base = self._midstate.copy()
-        base.update(nonce)
-        if n_blocks == 1:
-            base.update(counters[0])
-            return base.digest()
-        copy = base.copy
-        parts = []
-        append = parts.append
-        last = n_blocks - 1
-        for counter in range(last):
-            block = copy()
-            block.update(counters[counter])
-            append(block.digest())
-        # the final block consumes ``base`` itself: one fewer hash copy
-        base.update(counters[last])
-        append(base.digest())
-        return b"".join(parts)
-
-    def _keystream(self, nonce: bytes, length: int):
-        """Keystream bytes for ``nonce``; a buffer of exactly ``length``.
-
-        Returns the cached ``bytes`` when the stream is block-aligned
-        and a zero-copy :class:`memoryview` slice otherwise — never a
-        truncating copy.  The backing buffer is an immutable ``bytes``
-        owned by the cache, so returned views stay valid even across
-        eviction (the view keeps its buffer alive).
-        """
-        # counter increments are OWNERSHIP-waived (monotone, bridged per
-        # registry by the collector delta); the cache is per-registry
-        global _CACHE_HITS, _CACHE_MISSES, _CACHE_EVICTIONS
-        cache = self._keystreams
-        cache_key = (self._key, nonce)
-        stream = cache.get(cache_key)
-        if stream is not None and len(stream) >= length:
-            _CACHE_HITS += 1
-        else:
-            _CACHE_MISSES += 1
-            stream = self._generate(nonce, (length + 31) >> 5)
-            if len(cache) >= KEYSTREAM_CACHE_ENTRIES:
-                # deterministic FIFO eviction: dicts iterate in
-                # insertion order, so this drops the oldest entry
-                del cache[next(iter(cache))]
-                _CACHE_EVICTIONS += 1
-            cache[cache_key] = stream
-        if len(stream) > length:
-            return memoryview(stream)[:length]
-        return stream
 
     def process(self, nonce: bytes, data: bytes) -> bytes:
         """Encrypt or decrypt ``data`` under ``nonce``."""
         if not data:
             return b""
         size = len(data)
-        stream = self._keystream(nonce, size)
+        stream = shake_128(self._key + nonce).digest(size)
         # Whole-buffer XOR via big integers: ~50x faster than a byte loop.
         xored = int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
         return xored.to_bytes(size, "big")

@@ -130,9 +130,6 @@ register("sgx.epc.pages_freed", "counter", "pages", "EPC pages freed")
 register("sgx.epc.page_faults", "counter", "faults", "expected EPC page faults charged by the cost model")
 
 # crypto schedule caches (PR-2 fast path)
-register("crypto.stream.cache_hits", "counter", "lookups", "keystream midstate cache hits")
-register("crypto.stream.cache_misses", "counter", "lookups", "keystream midstate cache misses")
-register("crypto.stream.cache_clears", "counter", "clears", "keystream cache wholesale evictions")
 register("crypto.aes.cache_hits", "counter", "lookups", "AES key-schedule cache hits")
 register("crypto.aes.cache_misses", "counter", "lookups", "AES key-schedule cache misses")
 register("crypto.hmac.cache_hits", "counter", "lookups", "HMAC pad-state cache hits")

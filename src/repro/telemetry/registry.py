@@ -198,8 +198,8 @@ def register_collector(fn: Callable[[], Dict[str, int]]) -> None:
     """Register a process-global stats source (name → monotone value).
 
     Collectors cover statistics that live in module globals rather than
-    on a component instance (e.g. the keystream cache in
-    :mod:`repro.crypto.stream`).  Every name a collector reports must be
+    on a component instance (e.g. the key-schedule cache counters in
+    :mod:`repro.crypto.aes`).  Every name a collector reports must be
     :func:`~repro.telemetry.names.register`-ed as a counter.  Each
     :class:`Registry` snapshots collector values at construction and
     reports deltas, so collector-backed counters reset with registry

@@ -11,42 +11,34 @@ protection):
   goal, but Click-processing still cannot be bypassed).
 
 Functionally the bulk cipher is the fast keyed keystream cipher; the
-cost model charges AES prices (see ``repro.costs``).
+cost model charges AES prices (see ``repro.costs``).  Sender and
+receiver are two machines in the paper's deployment, so each end
+derives every keystream and MAC itself; the only state kept across
+records is per-key (the HMAC pad states).
+
+One code path per direction: :meth:`DataChannel.protect_batch` and
+:meth:`DataChannel.unprotect_batch` hold the per-record crypto, and
+``protect``/``unprotect`` are bursts of one.
 
 Buffer model (see DESIGN.md, "Zero-copy buffer model"): record bodies
 arriving from :func:`repro.vpn.protocol.VpnPacket.parse` are
-``memoryview`` slices over the datagram buffer.  ``unprotect`` splits
-ciphertext and tag as sub-views, MAC-checks straight from the views via
-the chunked HMAC API, and only materialises fresh ``bytes`` for the
-*output* plaintext — the one copy the trust transition requires.  The
-burst forms additionally hoist the per-record constant work (HMAC pad
-states, header/nonce packers, keystream cache handles) out of the loop,
-derive one- and two-block keystreams inline off the key midstate, and
-verify receiver-side MACs against the sender's cached tag record when
-both ends share a process (byte-compare instead of re-HMAC; the record
-also carries the sealed plaintext, so a verified match skips the
-decrypt as well; any mismatch falls back to the full recompute, so
-accept/reject outcomes and recovered bytes are bit-identical to the
-scalar path).
+``memoryview`` slices over the datagram buffer.  Unprotect splits
+ciphertext and tag as sub-views, MAC-checks straight from the views,
+and only materialises fresh ``bytes`` for the *output* plaintext — the
+one copy the trust transition requires.
 """
 
 from __future__ import annotations
 
 import enum
-import struct
 from hmac import compare_digest
 
-from repro.crypto import stream as _stream
-from repro.crypto.cachestate import MAC_TAG_CACHE_ENTRIES, current_caches
-from repro.crypto.hmac import hmac_sha256, hmac_verify, pad_states
+from repro.crypto.hmac import pad_states
 from repro.crypto.stream import KeystreamCipher
 from repro.telemetry.registry import Registry
-from repro.vpn.protocol import _HEADER as _VPN_HEADER
 from repro.vpn.protocol import OP_DATA, VpnPacket
 
 TAG_LEN = 16
-
-_NONCE = struct.Struct(">QQ")
 
 
 class ChannelError(RuntimeError):
@@ -76,122 +68,47 @@ class DataChannel:
         self.mode = mode
         registry = Registry.current()
         self.telemetry = registry
-        # sender-side MAC record cache: the peer channel under the same
-        # registry verifies by comparison instead of re-running HMAC
-        self._mac_tags = current_caches().mac_tags
         self.protected = registry.counter("vpn.channel.packets_protected", private=True)
         self.rejected = registry.counter("vpn.channel.packets_rejected", private=True)
         self.bytes_protected = registry.counter("vpn.channel.bytes_protected", private=True)
         self.bytes_unprotected = registry.counter("vpn.channel.bytes_unprotected", private=True)
 
     # ------------------------------------------------------------------
-    def _nonce(self, session_id: int, packet_id: int) -> bytes:
-        return _NONCE.pack(session_id, packet_id)
-
     def protect(self, packet: VpnPacket, plaintext: bytes) -> VpnPacket:
-        """Fill ``packet.body`` with the protected form of ``plaintext``."""
-        if packet.opcode != OP_DATA:
-            raise ChannelError("data channel only protects DATA packets")
-        if self.mode is ProtectionMode.ENCRYPT_AND_MAC:
-            payload = self._cipher.encrypt(self._nonce(packet.session_id, packet.packet_id), plaintext)
-        else:
-            payload = plaintext
-        tag = hmac_sha256(self._hmac_key, packet.auth_header(), payload)[:TAG_LEN]
-        packet.body = payload + tag
-        self.protected.inc()
-        self.bytes_protected.inc(len(plaintext))
-        return packet
+        """Fill ``packet.body`` with the protected form of ``plaintext``.
+
+        A burst of one through :meth:`protect_batch`.
+        """
+        return self.protect_batch(((packet, plaintext),))[0]
 
     def protect_batch(self, items) -> list:
         """Protect a burst of ``(packet, plaintext)`` pairs.
 
-        Byte-for-byte equivalent to calling :meth:`protect` once per
-        pair (same ciphertexts, same tags, counters advanced by the same
-        amount).  The burst form derives the keystream and the HMAC in
-        one fused pass per record with all key-only work — pad states,
-        SHA-256 key midstate, cache handles, struct packers — hoisted
-        out of the loop.  Small records (one or two keystream blocks,
-        the data-plane common case) derive their stream inline off the
-        hoisted midstate with no cache round-trip at all; each record's
-        ``(auth header, ciphertext, tag, plaintext)`` tuple lands in the
-        per-registry tag cache, which is what lets the receiving
-        channel's burst verify skip both the HMAC *and* the decrypt.
-        Used by the batched client data path, where one enclave crossing
-        produces many packets to seal.
+        Each record is encrypted under its own nonce (the session and
+        packet ids), then MAC'd over the auth header and the sealed
+        bytes.  Only the key-only work — the HMAC pad states — is
+        hoisted out of the loop.
         """
-        hmac_key = self._hmac_key
-        inner_base, outer_base = pad_states(hmac_key)
+        inner_base, outer_base = pad_states(self._hmac_key)
         encrypting = self.mode is ProtectionMode.ENCRYPT_AND_MAC
-        cipher = self._cipher
-        mid_copy = cipher._midstate.copy
-        counters = cipher._COUNTERS
-        counter0 = counters[0]
-        counter1 = counters[1]
-        derive = cipher._keystream
-        mac_tags = self._mac_tags
-        hpack = _VPN_HEADER.pack
-        frombytes = int.from_bytes
+        process = self._cipher.process
         protected = []
         append = protected.append
         total_plain = 0
         for packet, plain in items:
             if packet.opcode != OP_DATA:
                 raise ChannelError("data channel only protects DATA packets")
-            if type(plain) is not bytes:
-                # snapshot mutable input: the tag record below must stay
-                # frozen at the bytes that were actually sealed
-                plain = bytes(plain)
-            ah = hpack(
-                packet.opcode,
-                packet.session_id,
-                packet.packet_id,
-                packet.frag_id,
-                packet.frag_index,
-                packet.frag_count,
-            )
+            ah = packet.auth_header()
             # the auth header embeds ``>QQ`` session/packet ids at bytes
-            # 1..17 — exactly the nonce layout, so one pack serves both
-            nonce = ah[1:17]
-            size = len(plain)
-            if encrypting and size:
-                if size <= 64:
-                    # burst keystream: one or two blocks derived inline
-                    # off the key midstate, same bytes _generate() makes
-                    base = mid_copy()
-                    base.update(nonce)
-                    if size <= 32:
-                        base.update(counter0)
-                        ks = base.digest()
-                    else:
-                        head = base.copy()
-                        head.update(counter0)
-                        base.update(counter1)
-                        ks = head.digest() + base.digest()
-                    if len(ks) > size:
-                        ks = memoryview(ks)[:size]
-                else:
-                    # multi-block records go through the shared cache so
-                    # a scalar receiver still gets its second-derivation
-                    # hit
-                    ks = derive(nonce, size)
-                seal = (frombytes(plain, "big") ^ frombytes(ks, "big")).to_bytes(size, "big")
-            else:
-                seal = plain if size else b""
+            # 1..17 — exactly the nonce layout
+            payload = process(ah[1:17], plain) if encrypting else plain
             inner = inner_base.copy()
             inner.update(ah)
-            inner.update(seal)
+            inner.update(payload)
             outer = outer_base.copy()
             outer.update(inner.digest())
-            mac = outer.digest()[:TAG_LEN]
-            body = seal + mac
-            packet.body = body
-            if len(mac_tags) >= MAC_TAG_CACHE_ENTRIES:
-                # deterministic FIFO eviction, oldest-inserted first
-                del mac_tags[next(iter(mac_tags))]
-            # keyed by the full auth header (which embeds the nonce), so
-            # the receiver's hit test is a single whole-body compare
-            mac_tags[(hmac_key, ah)] = (body, plain)
-            total_plain += size
+            packet.body = payload + outer.digest()[:TAG_LEN]
+            total_plain += len(plain)
             append(packet)
         self.protected.inc(len(protected))
         self.bytes_protected.inc(total_plain)
@@ -200,29 +117,16 @@ class DataChannel:
     def unprotect_batch(self, packets) -> list:
         """Authenticate/decrypt a burst; one ``Optional[bytes]`` each.
 
-        Equivalent to calling :meth:`unprotect` per packet except that a
-        failing packet yields ``None`` in its slot instead of raising, so
-        one forged packet cannot mask the rest of the burst.  Rejection
-        counters advance exactly as in the scalar path.  MAC checks hit
-        the sender's tag cache first: the record is keyed by this
-        packet's exact auth header, so a stored body that byte-matches
-        ciphertext-plus-tag proves the tag is the one HMAC would
-        produce, and the recorded plaintext is exactly what the
-        keystream XOR would recover — a matching record therefore costs
-        one dict probe and one compare.  Any miss or mismatch falls
-        back to the full HMAC recompute and decrypt, so accept/reject
-        outcomes and recovered bytes are bit-identical to scalar.
+        A failing packet — too short to carry a tag, or a tag that does
+        not verify — yields ``None`` in its slot and advances the
+        rejection counter, so one forged packet cannot mask the rest of
+        the burst.  Ciphertext and tag are split as zero-copy views and
+        MAC-checked straight from them; only the output plaintext is
+        materialised as fresh ``bytes``.
         """
-        hmac_key = self._hmac_key
-        inner_base, outer_base = pad_states(hmac_key)
+        inner_base, outer_base = pad_states(self._hmac_key)
         decrypting = self.mode is ProtectionMode.ENCRYPT_AND_MAC
-        cipher = self._cipher
-        cipher_key = cipher._key
-        streams = cipher._keystreams
-        derive = cipher._keystream
-        mac_tags = self._mac_tags
-        hpack = _VPN_HEADER.pack
-        frombytes = int.from_bytes
+        process = self._cipher.process
         plaintexts = []
         append = plaintexts.append
         accepted_bytes = 0
@@ -234,77 +138,35 @@ class DataChannel:
                 bad += 1
                 append(None)
                 continue
-            ah = hpack(
-                packet.opcode,
-                packet.session_id,
-                packet.packet_id,
-                packet.frag_id,
-                packet.frag_index,
-                packet.frag_count,
-            )
-            entry = mac_tags.get((hmac_key, ah))
-            if entry is not None and entry[0] == tail:
-                # the sender's record is keyed by this exact auth header
-                # and its body byte-matches ciphertext+tag, so the tag
-                # is the correct HMAC here — and the recorded plaintext
-                # is exactly what the keystream XOR would recover, so a
-                # matching record skips HMAC, derivation and XOR alike
-                accepted_bytes += boundary
-                append(entry[1])
-                continue
+            ah = packet.auth_header()
+            # the body may itself be a view over the datagram buffer
+            # (see module docs); split ciphertext and tag as sub-views
             view = memoryview(tail) if type(tail) is bytes else tail
             sealed = view[:boundary]
-            mac = view[boundary:]
-            # bytes 1..17 of the auth header are the ``>QQ`` nonce fields
-            nonce = ah[1:17]
             inner = inner_base.copy()
             inner.update(ah)
             inner.update(sealed)
             outer = outer_base.copy()
             outer.update(inner.digest())
-            if not compare_digest(outer.digest()[:TAG_LEN], mac):
+            if not compare_digest(outer.digest()[:TAG_LEN], view[boundary:]):
                 bad += 1
                 append(None)
                 continue
             accepted_bytes += boundary
-            if not decrypting:
-                append(bytes(sealed))
-                continue
-            if not boundary:
-                append(b"")
-                continue
-            ks = streams.get((cipher_key, nonce))
-            if ks is None or len(ks) < boundary:
-                ks = derive(nonce, boundary)
-            else:
-                _stream._CACHE_HITS += 1
-                if len(ks) > boundary:
-                    ks = memoryview(ks)[:boundary]
-            append((frombytes(sealed, "big") ^ frombytes(ks, "big")).to_bytes(boundary, "big"))
+            # bytes 1..17 of the auth header are the ``>QQ`` nonce fields
+            append(process(ah[1:17], sealed) if decrypting else bytes(sealed))
         self.bytes_unprotected.inc(accepted_bytes)
         if bad:
             self.rejected.inc(bad)
         return plaintexts
 
     def unprotect(self, packet: VpnPacket) -> bytes:
-        """Authenticate and (if encrypted) decrypt a DATA packet body."""
-        tail = packet.body
-        boundary = len(tail) - TAG_LEN
-        if boundary < 0:
-            self.rejected.inc()
-            raise ChannelError("data packet too short")
-        # split ciphertext and tag as zero-copy views — the body may
-        # itself be a view over the datagram buffer (see module docs)
-        view = memoryview(tail) if type(tail) is bytes else tail
-        sealed = view[:boundary]
-        mac = view[boundary:]
-        # auth_header() covers only the fixed header fields, so the MAC
-        # input is (header, ciphertext) fed as chunks — no throwaway
-        # packet object and no header+payload concat on the packet path
-        if not hmac_verify(self._hmac_key, packet.auth_header(), sealed, mac):
-            self.rejected.inc()
+        """Authenticate and (if encrypted) decrypt a DATA packet body.
+
+        A burst of one through :meth:`unprotect_batch`; raises
+        :class:`ChannelError` where the burst form yields ``None``.
+        """
+        plaintext = self.unprotect_batch((packet,))[0]
+        if plaintext is None:
             raise ChannelError("data packet failed authentication")
-        self.bytes_unprotected.inc(boundary)
-        if self.mode is ProtectionMode.ENCRYPT_AND_MAC:
-            return self._cipher.decrypt(self._nonce(packet.session_id, packet.packet_id), sealed)
-        return bytes(sealed)
+        return plaintext

@@ -1,5 +1,7 @@
 """Crypto tests: known-answer vectors + round trips + property tests."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,6 +93,13 @@ def test_keystream_roundtrip(data):
     cipher = KeystreamCipher(b"k" * 32)
     nonce = b"\x01\x02\x03\x04"
     assert cipher.decrypt(nonce, cipher.encrypt(nonce, data)) == data
+
+
+@pytest.mark.parametrize("length", [0, 1, 32, 33, 1500, 16384])
+def test_stream_cipher_is_one_shake128_call(length):
+    key, nonce = bytes(range(16)), b"\x00" * 8 + (7).to_bytes(8, "big")
+    expected = hashlib.shake_128(key + nonce).digest(length)
+    assert KeystreamCipher(key).process(nonce, bytes(length)) == expected
 
 
 def test_keystream_different_nonce_different_ciphertext():

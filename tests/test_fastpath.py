@@ -1,10 +1,11 @@
 """Equivalence tests for the batched fast path.
 
-Channel batch crypto, compiled Click dispatch, the burst-native
+Channel crypto, compiled Click dispatch, the burst-native
 ``process_packet`` ecall and the client's burst-draining worker are
-asserted to be observably identical to their per-packet use, with one
-documented exception: a burst of N packets pays one EENTER/EEXIT
-transition pair on the gateway ledger where N bursts of one pay N.  The
+asserted to be observably identical to their per-packet use (one burst
+of N against N bursts of one), with one documented exception: a burst
+of N packets pays one EENTER/EEXIT transition pair on the gateway
+ledger where N bursts of one pay N.  The
 default path (bursts of one) is pinned to its recorded modeled outcome.
 """
 
@@ -21,14 +22,7 @@ from repro.core.ca import CertificateAuthority
 from repro.core.enclave_app import EndBoxEnclave, build_endbox_image
 from repro.core.provisioning import provision_client
 from repro.crypto import hmac as crypto_hmac
-from repro.crypto import stream as crypto_stream
-from repro.crypto.cachestate import (
-    HMAC_PAD_CACHE_ENTRIES,
-    KEYSTREAM_CACHE_ENTRIES,
-    MAC_TAG_CACHE_ENTRIES,
-    current_caches,
-)
-from repro.crypto.stream import KeystreamCipher
+from repro.crypto.cachestate import HMAC_PAD_CACHE_ENTRIES, CryptoCaches, current_caches
 from repro.faults import trace_digest
 from repro.fleet import DeploymentSpec, DeploymentSpecError
 from repro.costs import default_cost_model
@@ -41,7 +35,6 @@ from repro.sgx.gateway import CostLedger, InterfaceViolation
 from repro.sim import Simulator
 from repro.telemetry.registry import fork_isolated
 from repro.tlslib.record import RecordProtection, TYPE_APPLICATION_DATA, parse_records
-from repro.vpn import channel as vpn_channel
 from repro.vpn.channel import DataChannel, ProtectionMode
 from repro.vpn.costing import crypto_cost
 from repro.vpn.fragment import Fragmenter, Reassembler
@@ -86,18 +79,21 @@ def channel_pair():
     )
 
 
+def data_items(payloads, session_id=9):
+    return [(VpnPacket(OP_DATA, session_id, pid), p) for pid, p in enumerate(payloads, start=1)]
+
+
 def test_protect_batch_ciphertexts_identical():
-    tx_scalar, _ = channel_pair()
-    tx_batch, _ = channel_pair()
+    tx_single, _ = channel_pair()
+    tx_burst, _ = channel_pair()
     payloads = [make_payload(n) for n in (1, 63, 64, 65, 700)]
-    scalar_wire = [
-        tx_scalar.protect(VpnPacket(OP_DATA, 9, pid), payload).serialize()
-        for pid, payload in enumerate(payloads, start=1)
+    single_wire = [
+        tx_single.protect_batch([item])[0].serialize() for item in data_items(payloads)
     ]
-    items = [(VpnPacket(OP_DATA, 9, pid), p) for pid, p in enumerate(payloads, start=1)]
-    batch_wire = [p.serialize() for p in tx_batch.protect_batch(items)]
-    assert batch_wire == scalar_wire
-    assert tx_batch.protected.value == tx_scalar.protected.value == len(payloads)
+    burst_wire = [p.serialize() for p in tx_burst.protect_batch(data_items(payloads))]
+    assert burst_wire == single_wire
+    assert tx_burst.protected.value == tx_single.protected.value == len(payloads)
+    assert tx_burst.bytes_protected.value == tx_single.bytes_protected.value
 
 
 def test_protect_batch_rejects_non_data_opcode():
@@ -109,15 +105,46 @@ def test_protect_batch_rejects_non_data_opcode():
 
 
 def test_unprotect_batch_isolates_forged_packet():
-    tx, rx = channel_pair()
-    payloads = [b"first", b"second", b"third"]
-    packets = tx.protect_batch(
-        [(VpnPacket(OP_DATA, 9, pid), p) for pid, p in enumerate(payloads, start=1)]
-    )
+    tx, rx_burst = channel_pair()
+    _, rx_single = channel_pair()
+    packets = tx.protect_batch(data_items([b"first", b"second", b"third"]))
     packets[1].body = b"\x00" * len(packets[1].body)  # forge the middle one
-    out = rx.unprotect_batch(packets)
-    assert out == [b"first", None, b"third"]
-    assert rx.rejected.value == 1
+    burst_out = rx_burst.unprotect_batch(packets)
+    single_out = [rx_single.unprotect_batch([packet])[0] for packet in packets]
+    assert burst_out == single_out == [b"first", None, b"third"]
+    assert rx_burst.rejected.value == rx_single.rejected.value == 1
+    assert rx_burst.bytes_unprotected.value == rx_single.bytes_unprotected.value
+
+
+def test_unprotect_rejects_body_shorter_than_tag():
+    from repro.vpn.channel import ChannelError
+
+    _, rx = channel_pair()
+    short = VpnPacket(OP_DATA, 9, 1, b"x" * 15)  # one byte short of a tag
+    assert rx.unprotect_batch([short]) == [None]
+    with pytest.raises(ChannelError):
+        rx.unprotect(short)
+    assert rx.rejected.value == 2
+
+
+@pytest.mark.parametrize("mode", list(ProtectionMode), ids=lambda m: m.value)
+def test_channels_in_separate_registries_roundtrip(mode):
+    """Sender and receiver share no in-process state, as on two machines."""
+    keys = (b"cipher-key-cipher", b"hmac-key-hmac-key")
+    payloads = [random.Random(size).randbytes(size) for size in (0, 1, 64, 1473, 16384)]
+    with fork_isolated():
+        tx = DataChannel(*keys, mode)
+        wire = [p.serialize() for p in tx.protect_batch(data_items(payloads, session_id=6))]
+        caches = current_caches()
+        # after traffic the sender keeps per-key state only
+        populated = {name for name in CryptoCaches.__slots__ if getattr(caches, name)}
+        assert populated <= {"aes_schedules", "hmac_pads"}
+        assert list(caches.hmac_pads) == [keys[1]]
+    with fork_isolated():
+        rx = DataChannel(*keys, mode)
+        assert [rx.unprotect(VpnPacket.parse(w)) for w in wire] == payloads
+        assert rx.unprotect_batch([VpnPacket.parse(w) for w in wire]) == payloads
+        assert rx.rejected.value == 0
 
 
 # ----------------------------------------------------------------------
@@ -531,24 +558,24 @@ def test_batched_client_forms_bursts_and_delivers():
 # zero-copy equivalence (ROADMAP item 4)
 # ----------------------------------------------------------------------
 def test_zero_copy_channel_equivalence_across_sizes():
-    """Scalar, batch and parse-then-unprotect agree for edge-case sizes."""
+    """Bursts of one and one burst agree on parsed views at edge sizes."""
     rng = random.Random(0xEB10)
     sizes = [0, 1, 16, 31, 32, 33, 1472, 1473, 8900]
     sizes += [rng.randrange(2, 4096) for _ in range(6)]
     payloads = [rng.randbytes(size) for size in sizes]
-    tx_scalar, rx_scalar = channel_pair()
-    tx_batch, rx_batch = channel_pair()
+    tx_single, rx_single = channel_pair()
+    tx_burst, rx_burst = channel_pair()
     wire = []
-    for pid, payload in enumerate(payloads, start=1):
-        packet = tx_scalar.protect(VpnPacket(OP_DATA, 5, pid), payload)
-        wire.append(packet.serialize())
+    for item, payload in zip(data_items(payloads, session_id=5), payloads):
+        wire.append(tx_single.protect_batch([item])[0].serialize())
         parsed = VpnPacket.parse(wire[-1])
         # OP_DATA bodies are carved as views over the datagram buffer
         assert type(parsed.body) is memoryview
-        assert rx_scalar.unprotect(parsed) == payload
-    items = [(VpnPacket(OP_DATA, 5, pid), p) for pid, p in enumerate(payloads, start=1)]
-    assert [p.serialize() for p in tx_batch.protect_batch(items)] == wire
-    assert rx_batch.unprotect_batch([VpnPacket.parse(w) for w in wire]) == payloads
+        assert rx_single.unprotect_batch([parsed]) == [payload]
+    burst = tx_burst.protect_batch(data_items(payloads, session_id=5))
+    assert [p.serialize() for p in burst] == wire
+    assert rx_burst.unprotect_batch([VpnPacket.parse(w) for w in wire]) == payloads
+    assert rx_burst.bytes_unprotected.value == rx_single.bytes_unprotected.value
 
 
 def test_zero_copy_ip_parse_matches_serialize_across_sizes():
@@ -626,21 +653,6 @@ def test_tls_record_zero_copy_framing_and_unprotect():
 # ----------------------------------------------------------------------
 # bounded crypto caches (deterministic FIFO eviction)
 # ----------------------------------------------------------------------
-def test_keystream_cache_bounded_with_fifo_eviction():
-    with fork_isolated():
-        cipher = KeystreamCipher(b"k" * 16)
-        cache = cipher._keystreams
-        overflow = 50
-        total = KEYSTREAM_CACHE_ENTRIES + overflow
-        for pid in range(total):
-            cipher.encrypt(pid.to_bytes(8, "big"), b"payload")
-        assert len(cache) == KEYSTREAM_CACHE_ENTRIES
-        survivors = {nonce for _key, nonce in cache}
-        # strictly FIFO: exactly the oldest nonces were evicted
-        assert all(pid.to_bytes(8, "big") not in survivors for pid in range(overflow))
-        assert all(pid.to_bytes(8, "big") in survivors for pid in range(overflow, total))
-
-
 def test_channel_caches_stay_bounded_under_churn():
     with fork_isolated():
         tx, rx = channel_pair()
@@ -652,22 +664,8 @@ def test_channel_caches_stay_bounded_under_churn():
                 pid += 1
                 items.append((VpnPacket(OP_DATA, 2, pid), b"churn-payload"))
             assert rx.unprotect_batch(tx.protect_batch(items)) == [b"churn-payload"] * 512
-        assert pid > MAC_TAG_CACHE_ENTRIES  # the churn actually overflowed
-        assert len(caches.keystreams) <= KEYSTREAM_CACHE_ENTRIES
-        assert len(caches.mac_tags) <= MAC_TAG_CACHE_ENTRIES
-        assert len(caches.hmac_pads) <= HMAC_PAD_CACHE_ENTRIES
-
-
-def test_keystream_view_outlives_eviction():
-    with fork_isolated():
-        cipher = KeystreamCipher(b"v" * 16)
-        view = cipher._keystream(b"nonce-a", 5)
-        assert type(view) is memoryview
-        expected = bytes(view)
-        for pid in range(KEYSTREAM_CACHE_ENTRIES + 10):
-            cipher._keystream(pid.to_bytes(8, "big"), 5)
-        assert (b"v" * 16, b"nonce-a") not in cipher._keystreams  # evicted
-        assert bytes(view) == expected  # the view keeps its buffer alive
+        # per-key state only: thousands of records, one pad-state entry
+        assert len(caches.hmac_pads) == 1 <= HMAC_PAD_CACHE_ENTRIES
 
 
 def _vpn_digest_run():
@@ -688,8 +686,6 @@ def test_tiny_cache_caps_leave_trace_digest_unchanged(monkeypatch):
     """Eviction policy is invisible: every cached value is a pure
     function of its key, so starving the caches must not move a byte."""
     baseline_digest, baseline_packets = _vpn_digest_run()
-    monkeypatch.setattr(crypto_stream, "KEYSTREAM_CACHE_ENTRIES", 4)
-    monkeypatch.setattr(vpn_channel, "MAC_TAG_CACHE_ENTRIES", 4)
     monkeypatch.setattr(crypto_hmac, "HMAC_PAD_CACHE_ENTRIES", 1)
     tiny_digest, tiny_packets = _vpn_digest_run()
     assert tiny_packets == baseline_packets > 0

@@ -80,9 +80,7 @@ def test_known_required_copies_are_waived_not_reported():
     checker = HotPathChecker()
     analyze_paths(TREES, checkers=[checker])
     waived = {(f.rule, f.path.rsplit("/", 1)[-1]) for f, _ in checker.waived}
-    # keystream assembly + cached-stream truncation
-    assert ("HP701", "stream.py") in waived
-    # MAC tag append in DataChannel.protect
+    # MAC tag append in DataChannel.protect_batch
     assert ("HP701", "channel.py") in waived
     # reassembly re-parse across the parse_ipv4 boundary
     assert ("HP704", "stack.py") in waived
