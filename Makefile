@@ -18,8 +18,10 @@ lint:
 # byte-identity smoke, the telemetry differential smoke (recording
 # on vs off must not change a single packet byte), the
 # shard-determinism smoke (2-shard merged digest == serial digest),
-# and the committed perf baseline (BENCH_micro.json must satisfy
-# every per-stage criterion — see `python -m repro.perf`).
+# the committed perf baseline (BENCH_micro.json must satisfy
+# every per-stage criterion — see `python -m repro.perf`), and the
+# perfbench self-test (fails when renamed IDS, Click or crypto entry
+# points leave a span of the traced benchmark nothing to wrap).
 # The second lint run is warm (the first one filled .lint_cache) and
 # must come back under the 5 s latency budget.
 check: lint
@@ -31,6 +33,7 @@ check: lint
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_faults.py -q -k "deterministic or byte_identical"
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_sim_parallel.py -q -k "digest_matches_serial"
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_fleet_scenario.py -q -k "rolling_restart_smoke"
+	$(PYTHON) perfbench/run.py --self-test
 
 # BENCH_micro.json is the committed regression baseline; refuse to
 # clobber it unless the caller explicitly opts in with FORCE=1.

@@ -142,6 +142,9 @@ class Element:
     def take_state(self, predecessor: "Element") -> None:
         """Adopt state from the same-named element of the old config."""
 
+    def cleanup(self) -> None:
+        """Release resources once a hot swap has retired this element."""
+
     # ------------------------------------------------------------------
     # handlers (Click's read/write handler interface)
     # ------------------------------------------------------------------

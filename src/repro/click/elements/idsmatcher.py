@@ -15,7 +15,7 @@ text) or from the router context key ``ruleset`` (a list of
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import List
 
 from repro.click.element import Element, ElementError, Packet
 from repro.click.registry import register_element
@@ -32,6 +32,7 @@ class IDSMatcher(Element):
         self.rules: List[SnortRule] = []
         self.automaton: AhoCorasick | None = None
         self._pattern_owner: List[int] = []  # pattern id -> rule index
+        self._contentless: List[int] = []  # rules that are always candidates
         self.alerts: List[int] = []  # sids of matched rules
         self.packets_matched = 0
 
@@ -46,20 +47,18 @@ class IDSMatcher(Element):
         self._compile()
 
     def _compile(self) -> None:
-        self.automaton = AhoCorasick([], case_insensitive=False)
-        self._pattern_owner = []
-        self._content_counts: List[int] = []
-        for index, rule in enumerate(self.rules):
-            self._content_counts.append(len(rule.contents))
-            for content in rule.contents:
-                # Patterns enter the automaton lowercased and the scan runs
-                # over a lowercased payload: that makes the automaton a
-                # *superset* prefilter for both case modes (a case-sensitive
-                # match implies a case-insensitive one); the exact
-                # rule.payload_matches() check below restores precision
-                # (including offset/depth/distance/within constraints).
-                self.automaton.add_pattern(content.pattern.lower())
-                self._pattern_owner.append(index)
+        rules = self.rules
+        self._pattern_owner = [index for index, rule in enumerate(rules) for _ in rule.contents]
+        self._contentless = [index for index, rule in enumerate(rules) if not rule.contents]
+        # Patterns enter the automaton lowercased and the scan runs over a
+        # lowercased payload: that makes the automaton a *superset*
+        # prefilter for both case modes (a case-sensitive match implies a
+        # case-insensitive one); the exact rule.payload_matches() check
+        # below restores precision (including offset/depth/distance/within
+        # constraints).
+        self.automaton = AhoCorasick(
+            content.pattern.lower() for rule in rules for content in rule.contents
+        )
 
     # ------------------------------------------------------------------
     def push(self, port: int, packet: Packet) -> None:
@@ -81,17 +80,11 @@ class IDSMatcher(Element):
 
     def _match(self, packet: Packet, payload: bytes) -> SnortRule | None:
         """First rule that fully matches, or None."""
-        hits_lower = self.automaton.scan(payload.lower()) if payload else []
-        candidate_rules: Set[int] = set()
-        patterns_seen: Dict[int, Set[int]] = {}
-        for pattern_id, _offset in hits_lower:
-            rule_index = self._pattern_owner[pattern_id]
-            patterns_seen.setdefault(rule_index, set()).add(pattern_id)
-            candidate_rules.add(rule_index)
-        # content-less rules are always candidates
-        for index, count in enumerate(self._content_counts):
-            if count == 0:
-                candidate_rules.add(index)
+        candidate_rules = set(self._contentless)
+        if payload:
+            owner = self._pattern_owner
+            for pattern_id, _offset in self.automaton.scan(payload.lower()):
+                candidate_rules.add(owner[pattern_id])
         for rule_index in sorted(candidate_rules):
             rule = self.rules[rule_index]
             if not rule.header_matches(packet.ip):
@@ -104,6 +97,13 @@ class IDSMatcher(Element):
     def take_state(self, predecessor: "IDSMatcher") -> None:
         self.alerts = list(predecessor.alerts)
         self.packets_matched = predecessor.packets_matched
+
+    def cleanup(self) -> None:
+        """Drop the retired rule set and its automaton."""
+        self.rules = []
+        self.automaton = None
+        self._pattern_owner = []
+        self._contentless = []
 
     def cost(self, packet: Packet) -> float:
         model = self.router.cost_model if self.router else None

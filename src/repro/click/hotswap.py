@@ -97,7 +97,12 @@ class HotSwapManager:
             hotswap_s = parse_cost + device_cost
             if self.ledger is not None:
                 self.ledger.add(hotswap_s)
-            self.router = new_router
+            retired, self.router = self.router, new_router
+            # as in Click, the retired router's elements are cleaned up
+            # right away rather than whenever the cyclic collector finds
+            # the element <-> router cycle
+            for element in retired.elements.values():
+                element.cleanup()
             self.swaps_performed += 1
             timings = SwapTimings(hotswap_s=hotswap_s)
             self.last_timings = timings

@@ -253,16 +253,28 @@ def ecall_apply_config(enclave, gateway, blob: bytes) -> Tuple[int, SwapTimings]
     except (ValueError, KeyError, UnicodeDecodeError) as exc:
         raise ConfigError(f"undecodable configuration payload: {exc}") from exc
     ruleset_text = content.get("ruleset", "")
+    context = state["click_context"]
+    previous_rules = context.get("ruleset")
     if ruleset_text:
-        state["click_context"]["ruleset"] = parse_rules(
-            ruleset_text, variables={"HOME_NET": "10.0.0.0/8", "EXTERNAL_NET": "any"}
-        )
+        try:
+            # the new graph's IDSMatcher reads its rules from the context
+            context["ruleset"] = parse_rules(
+                ruleset_text, variables={"HOME_NET": "10.0.0.0/8", "EXTERNAL_NET": "any"}
+            )
+        except ValueError as exc:  # RuleSyntaxError, bad numbers or addresses
+            raise ConfigError(f"malformed rule set: {exc}") from exc
     manager: HotSwapManager = state["click"]
     try:
         # the hot-swap manager statically validates the graph (port
         # arities, cycles, unknown elements) before committing the swap
         timings = manager.hotswap(click_config)
     except (ClickSyntaxError, ElementError) as exc:
+        # the running router keeps its rules; so must the context the
+        # next swap builds from
+        if previous_rules is None:
+            context.pop("ruleset", None)
+        else:
+            context["ruleset"] = previous_rules
         raise ConfigError(f"configuration rejected before swap: {exc}") from exc
     timings.decrypt_s = decrypt_s
     state["config_version"] = version

@@ -1,19 +1,25 @@
 """Aho–Corasick multi-pattern string matching (CACM 1975).
 
 The automaton is built once per rule set (goto function as per-node
-byte-keyed dicts, failure links via BFS, output sets merged along
-failure links) and then scans payloads in a single pass, reporting every
+byte-keyed dicts, failure links and output sets merged along them in
+one BFS) and then scans payloads in a single pass, reporting every
 (pattern id, end offset) occurrence.
 
-A scan cache keyed by payload identity makes repeated scans of identical
-benchmark payloads cheap without changing semantics — the *cost model*
-still charges per scanned byte.
+A compile allocates one goto dict per trie node and nothing else per
+node: outputs are tuples, and every node without one shares the empty
+tuple, so a rebuild stays cheap for the cyclic garbage collector.
+
+A bounded scan cache keyed by the payload bytes makes repeated scans of
+identical benchmark payloads cheap without changing semantics — the
+*cost model* still charges per scanned byte.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, Iterable, List, Optional, Tuple
+
+_NO_OUTPUT: Tuple[int, ...] = ()
+_CACHE_ENTRIES = 4096
 
 
 class AhoCorasick:
@@ -24,12 +30,15 @@ class AhoCorasick:
         self.patterns: List[bytes] = []
         # node storage: parallel lists are ~2x faster than node objects
         self._goto: List[Dict[int, int]] = [{}]
-        self._fail: List[int] = [0]
-        self._output: List[List[int]] = [[]]
+        # node -> ids of the patterns ending exactly there; _build merges
+        # these along the failure links into the per-node _output
+        self._own: Dict[int, Tuple[int, ...]] = {}
+        self._fail: List[int] = []  # filled by _build
+        self._output: List[Tuple[int, ...]] = []  # filled by _build
+        self._cache: Dict[bytes, List[Tuple[int, int]]] = {}
         for pattern in patterns:
             self.add_pattern(pattern)
         self._built = False
-        self._cache: Dict[int, Tuple[int, List[Tuple[int, int]]]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -42,37 +51,43 @@ class AhoCorasick:
             pattern = pattern.lower()
         pattern_id = len(self.patterns)
         self.patterns.append(pattern)
+        goto = self._goto
         node = 0
         for byte in pattern:
-            nxt = self._goto[node].get(byte)
-            if nxt is None:
-                nxt = len(self._goto)
-                self._goto.append({})
-                self._fail.append(0)
-                self._output.append([])
-                self._goto[node][byte] = nxt
-            node = nxt
-        self._output[node].append(pattern_id)
+            edges = goto[node]
+            node = edges.get(byte, 0)
+            if not node:
+                node = len(goto)
+                edges[byte] = node
+                goto.append({})
+        self._own[node] = self._own.get(node, _NO_OUTPUT) + (pattern_id,)
         self._built = False
         return pattern_id
 
     def _build(self) -> None:
         """Compute failure links and merge outputs (BFS over the trie)."""
-        queue = deque()
-        for byte, node in self._goto[0].items():
-            self._fail[node] = 0
-            queue.append(node)
-        while queue:
-            current = queue.popleft()
-            for byte, node in self._goto[current].items():
+        goto = self._goto
+        output = [_NO_OUTPUT] * len(goto)
+        for node, pattern_ids in self._own.items():
+            output[node] = pattern_ids
+        fail = [0] * len(goto)
+        # depth-1 nodes fail to the root; the list grows while it is walked
+        queue = list(goto[0].values())
+        for current in queue:
+            current_fail = fail[current]
+            for byte, node in goto[current].items():
                 queue.append(node)
-                fail = self._fail[current]
-                while fail and byte not in self._goto[fail]:
-                    fail = self._fail[fail]
-                self._fail[node] = self._goto[fail].get(byte, 0)
-                if self._fail[node] == node:
-                    self._fail[node] = 0
-                self._output[node] = self._output[node] + self._output[self._fail[node]]
+                state = current_fail
+                while state and byte not in goto[state]:
+                    state = fail[state]
+                state = goto[state].get(byte, 0)
+                fail[node] = state
+                inherited = output[state]
+                if inherited:
+                    own = output[node]
+                    output[node] = own + inherited if own else inherited
+        self._fail = fail
+        self._output = output
         self._built = True
         self._cache.clear()
 
@@ -84,15 +99,18 @@ class AhoCorasick:
     # scanning
     # ------------------------------------------------------------------
     def scan(self, data: bytes) -> List[Tuple[int, int]]:
-        """All matches in ``data`` as ``(pattern_id, end_offset)`` pairs."""
+        """All matches in ``data`` as ``(pattern_id, end_offset)`` pairs.
+
+        Matches come in end-offset order; at one offset the longer
+        pattern comes first, and equal patterns by ascending id.
+        """
         if not self._built:
             self._build()
         if self.case_insensitive:
             data = data.lower()
-        cache_key = hash(data)
-        cached = self._cache.get(cache_key)
-        if cached is not None and cached[0] == len(data):
-            return list(cached[1])
+        cached = self._cache.get(data)
+        if cached is not None:
+            return list(cached)
         goto = self._goto
         fail = self._fail
         output = self._output
@@ -105,8 +123,8 @@ class AhoCorasick:
             if output[node]:
                 for pattern_id in output[node]:
                     matches.append((pattern_id, offset + 1))
-        if len(self._cache) < 4096:
-            self._cache[cache_key] = (len(data), list(matches))
+        if len(self._cache) < _CACHE_ENTRIES:
+            self._cache[data] = list(matches)
         return matches
 
     def matches(self, data: bytes) -> bool:

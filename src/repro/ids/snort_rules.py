@@ -32,6 +32,13 @@ _PROTO_NUMBERS = {"tcp": PROTO_TCP, "udp": PROTO_UDP, "icmp": PROTO_ICMP, "ip": 
 _ACTIONS = ("alert", "drop", "log", "pass")
 
 _HEX_ESCAPE_RE = re.compile(r"\|([0-9A-Fa-f\s]+)\|")
+_RULE_RE = re.compile(
+    r"^(\w+)\s+(\w+)\s+(\S+)\s+(\S+)\s+->\s+(\S+)\s+(\S+)\s*\((.*)\)\s*$", re.S
+)
+# one option: a run of characters that are not ';', where a '"' opens a
+# quoted string that runs to the next '"' (or, when unterminated, to the
+# end of the text) and may contain ';'
+_OPTION_RE = re.compile(r'(?:[^";]|"[^"]*"?)+')
 
 
 class RuleSyntaxError(ValueError):
@@ -217,7 +224,7 @@ def parse_rule(line: str, variables: Optional[Dict[str, str]] = None) -> SnortRu
     """Parse one rule line."""
     variables = variables or {}
     line = line.strip()
-    match = re.match(r"^(\w+)\s+(\w+)\s+(\S+)\s+(\S+)\s+->\s+(\S+)\s+(\S+)\s*\((.*)\)\s*$", line, re.S)
+    match = _RULE_RE.match(line)
     if match is None:
         raise RuleSyntaxError(f"cannot parse rule: {line!r}")
     action, protocol, src, src_port, dst, dst_port, options_text = match.groups()
@@ -234,12 +241,7 @@ def parse_rule(line: str, variables: Optional[Dict[str, str]] = None) -> SnortRu
         dst_port=_parse_port(dst_port),
     )
     for raw_option in _split_options(options_text):
-        if not raw_option:
-            continue
-        if ":" in raw_option:
-            key, value = raw_option.split(":", 1)
-        else:
-            key, value = raw_option, ""
+        key, _, value = raw_option.partition(":")
         key = key.strip()
         value = value.strip().strip('"')
         if key == "msg":
@@ -292,23 +294,12 @@ def _compile_pcre(value: str) -> "re.Pattern":
 
 
 def _split_options(text: str) -> List[str]:
-    """Split rule options on ';' outside quoted strings."""
-    parts: List[str] = []
-    current: List[str] = []
-    in_quote = False
-    for char in text:
-        if char == '"':
-            in_quote = not in_quote
-            current.append(char)
-        elif char == ";" and not in_quote:
-            parts.append("".join(current).strip())
-            current = []
-        else:
-            current.append(char)
-    tail = "".join(current).strip()
-    if tail:
-        parts.append(tail)
-    return parts
+    """Split rule options on ';' outside quoted strings, dropping empty ones.
+
+    An unterminated quote runs to the end of the text, so every ';'
+    after it stays inside the last option.
+    """
+    return [option for option in map(str.strip, _OPTION_RE.findall(text)) if option]
 
 
 def parse_rules(text: str, variables: Optional[Dict[str, str]] = None) -> List[SnortRule]:

@@ -299,6 +299,27 @@ def test_hotswap_transfers_element_state():
     assert manager.router.read_handler("c", "count") == "2"
 
 
+def test_hotswap_cleans_up_the_retired_idsmatcher():
+    rules = parse_rules('alert udp any any -> any 5001 (msg:"x"; content:"forbidden"; sid:1;)')
+    manager = HotSwapManager(configs.idps_config(), default_cost_model(), context={"ruleset": rules})
+    retired = manager.router.find_elements(IDSMatcher)[0]
+    assert not manager.router.process(udp_packet(payload=b"forbidden"))[0]
+    manager.hotswap(configs.idps_config())
+    assert retired.automaton is None and retired.rules == []
+    live = manager.router.find_elements(IDSMatcher)[0]
+    assert live.packets_matched == 1  # state moved before the cleanup
+    assert not manager.router.process(udp_packet(payload=b"forbidden"))[0]
+
+
+def test_rejected_hotswap_cleans_up_nothing():
+    rules = parse_rules('alert udp any any -> any 5001 (msg:"x"; content:"forbidden"; sid:1;)')
+    manager = HotSwapManager(configs.idps_config(), default_cost_model(), context={"ruleset": rules})
+    with pytest.raises(ElementError):
+        manager.hotswap("f :: FromDevice(); x :: NoSuchElement(); t :: ToDevice(); f -> x -> t;")
+    assert manager.router.find_elements(IDSMatcher)[0].automaton is not None
+    assert not manager.router.process(udp_packet(payload=b"forbidden"))[0]
+
+
 def test_hotswap_timings_in_memory_vs_device():
     model = default_cost_model()
     endbox = HotSwapManager(configs.MINIMAL_CONFIG, model, in_memory=True)

@@ -254,6 +254,69 @@ def test_apply_config_updates_ruleset(initialized, world):
     assert accepted
 
 
+IDPS_COUNTED = (
+    "from :: FromDevice(); ids :: IDSMatcher(); count :: Counter(); t :: ToDevice();"
+    " from -> ids -> count -> t;"
+)
+
+
+def egress_accepted(endbox, payload):
+    [(accepted, _)] = endbox.gateway.ecall(
+        "process_packet", [udp_packet(payload)], "egress", "encrypt+mac", True
+    )
+    return accepted
+
+
+def test_rejected_bundle_does_not_leak_its_rules(initialized, world):
+    endbox, _sim = initialized
+    _ias, ca, *_ = world
+    forbid = 'alert udp any any -> any 5001 (msg:"x"; content:"forbidden"; sid:1;)'
+    endbox.gateway.ecall("apply_config", make_bundle(ca, 2, click_configs.idps_config(), rules=forbid).blob)
+    assert not egress_accepted(endbox, b"this is forbidden content")
+    other = 'alert udp any any -> any 5001 (msg:"y"; content:"unrelated"; sid:2;)'
+    bad_graph = "f :: FromDevice(); x :: NoSuchElement(); t :: ToDevice(); f -> x -> t;"
+    with pytest.raises(ConfigError, match="rejected before swap"):
+        endbox.gateway.ecall("apply_config", make_bundle(ca, 3, bad_graph, rules=other).blob)
+    assert [r.sid for r in endbox.enclave.trusted_state["click_context"]["ruleset"]] == [1]
+    # a graph-only bundle rebuilds the matcher from the context's rules
+    version, _timings = endbox.gateway.ecall("apply_config", make_bundle(ca, 4, IDPS_COUNTED).blob)
+    assert version == 4
+    assert not egress_accepted(endbox, b"this is forbidden content")
+    assert egress_accepted(endbox, b"unrelated")
+
+
+def test_rejected_bundle_without_previous_rules_leaves_none(initialized, world):
+    endbox, _sim = initialized
+    _ias, ca, *_ = world
+    rules = 'alert udp any any -> any 5001 (msg:"x"; content:"forbidden"; sid:1;)'
+    bad_graph = "f :: FromDevice(); x :: NoSuchElement(); t :: ToDevice(); f -> x -> t;"
+    with pytest.raises(ConfigError):
+        endbox.gateway.ecall("apply_config", make_bundle(ca, 2, bad_graph, rules=rules).blob)
+    assert "ruleset" not in endbox.enclave.trusted_state["click_context"]
+
+
+@pytest.mark.parametrize(
+    "rules",
+    [
+        "gibberish",
+        "alert tcp any any -> any any (frob:1;)",
+        "alert tcp any any -> any any (sid:notanumber;)",
+        "alert tcp 10.0.0.300/8 any -> any any (sid:1;)",
+    ],
+)
+def test_malformed_rules_raise_config_error(initialized, world, rules):
+    endbox, _sim = initialized
+    _ias, ca, *_ = world
+    forbid = 'alert udp any any -> any 5001 (msg:"x"; content:"forbidden"; sid:1;)'
+    endbox.gateway.ecall("apply_config", make_bundle(ca, 2, click_configs.idps_config(), rules=forbid).blob)
+    with pytest.raises(ConfigError, match="malformed rule set"):
+        endbox.gateway.ecall("apply_config", make_bundle(ca, 3, IDPS_COUNTED, rules=rules).blob)
+    state = endbox.enclave.trusted_state
+    assert state["config_version"] == 2
+    assert [r.sid for r in state["click_context"]["ruleset"]] == [1]
+    assert not egress_accepted(endbox, b"this is forbidden content")
+
+
 def test_simulation_mode_charges_no_transitions(world):
     ias, ca, image, _platform, _endbox, _storage = world
     platform = SgxPlatform(ias)

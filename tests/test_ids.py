@@ -1,12 +1,14 @@
 """IDS substrate tests: Aho-Corasick, Snort rule parsing, community set."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ids import AhoCorasick, RuleSyntaxError, community_ruleset, parse_rules
 from repro.ids.community_rules import COMMUNITY_RULE_COUNT, ruleset_text
-from repro.ids.snort_rules import parse_rule
+from repro.ids.snort_rules import _split_options, parse_rule
 from repro.netsim import IPv4Packet, TcpSegment, UdpDatagram
 
 
@@ -65,20 +67,63 @@ def test_binary_patterns():
     assert ac.matches(b"\x00\xbe\xef\xfa\xce\x00")
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.binary(min_size=1, max_size=8), min_size=1, max_size=8), st.binary(max_size=300))
-def test_aho_corasick_agrees_with_naive_search(patterns, haystack):
-    ac = AhoCorasick(patterns)
-    expected = set()
+def naive_matches(ac, haystack):
+    """Every occurrence by end offset, then longer pattern first, then lower id."""
+    found = []
     for pid, pattern in enumerate(ac.patterns):
         start = 0
         while True:
             index = haystack.find(pattern, start)
             if index < 0:
                 break
-            expected.add((pid, index + len(pattern)))
+            found.append((index + len(pattern), -len(pattern), pid))
             start = index + 1
-    assert set(ac.scan(haystack)) == expected
+    return [(pid, end) for end, _neg_len, pid in sorted(found)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.binary(min_size=1, max_size=6), min_size=1, max_size=10).flatmap(
+        # re-draw some patterns so duplicates are common
+        lambda pats: st.lists(st.sampled_from(pats), min_size=1, max_size=12)
+    ),
+    st.binary(max_size=300),
+)
+def test_aho_corasick_agrees_with_naive_search(patterns, haystack):
+    ac = AhoCorasick(patterns)
+    assert ac.scan(haystack) == naive_matches(ac, haystack)
+
+
+def test_add_pattern_after_scan_keeps_order_and_no_duplicates():
+    ac = AhoCorasick([b"he", b"she"])
+    assert ac.scan(b"ushers") == [(1, 4), (0, 4)]
+    ac.add_pattern(b"hers")
+    ac.add_pattern(b"he")
+    assert ac.scan(b"ushers") == naive_matches(ac, b"ushers")
+
+
+class ConstantHashBytes(bytes):
+    """Payload type whose hash collides for every value."""
+
+    def __hash__(self):
+        return 42
+
+
+def test_scan_cache_never_returns_another_payloads_matches():
+    ac = AhoCorasick([b"evil"])
+    assert ac.scan(ConstantHashBytes(b"good")) == []
+    assert ac.scan(ConstantHashBytes(b"evil")) == [(0, 4)]
+    assert ac.scan(ConstantHashBytes(b"good")) == []
+
+
+def test_scan_cache_is_bounded_and_returns_fresh_lists():
+    ac = AhoCorasick([b"a"])
+    for i in range(5000):
+        ac.scan(b"a%d" % i)
+    assert len(ac._cache) == 4096
+    first = ac.scan(b"a0")
+    first.append((9, 9))
+    assert ac.scan(b"a0") == [(0, 1)]
 
 
 # ----------------------------------------------------------------------
@@ -146,6 +191,56 @@ def test_bad_rules_rejected():
     ]:
         with pytest.raises(RuleSyntaxError):
             parse_rule(bad)
+
+
+#: SHA-256 of repr(parse_rules(ruleset_text(), HOME_NET_VARS)), taken
+#: with the character-by-character option splitter it replaced
+STOCK_RULESET_REPR_SHA256 = "ce0814a24e84c77ff1cd6d71ccf3771933256aa6fbe5491253c2f7041180fcdd"
+HOME_NET_VARS = {"HOME_NET": "10.0.0.0/8", "EXTERNAL_NET": "any"}
+
+
+def test_stock_ruleset_parse_is_pinned():
+    rules = parse_rules(ruleset_text(), variables=HOME_NET_VARS)
+    assert len(rules) == COMMUNITY_RULE_COUNT
+    assert hashlib.sha256(repr(rules).encode()).hexdigest() == STOCK_RULESET_REPR_SHA256
+
+
+def reference_split(text):
+    """The character-by-character splitter, minus its empty options."""
+    parts, current, in_quote = [], [], False
+    for char in text:
+        if char == '"':
+            in_quote = not in_quote
+            current.append(char)
+        elif char == ";" and not in_quote:
+            parts.append("".join(current).strip())
+            current = []
+        else:
+            current.append(char)
+    parts.append("".join(current).strip())
+    return [part for part in parts if part]
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ('msg:"a;b"; sid:1;', ['msg:"a;b"', "sid:1"]),
+        ("sid:1;; rev:2;;", ["sid:1", "rev:2"]),
+        (' ; ;sid:1', ["sid:1"]),
+        ('msg:"open; sid:1; rev:2', ['msg:"open; sid:1; rev:2']),
+        ('msg:"x"; content:"un;closed', ['msg:"x"', 'content:"un;closed']),
+        ('content:"a""b;c"; nocase', ['content:"a""b;c"', "nocase"]),
+        ("", []),
+    ],
+)
+def test_split_options_cases(text, expected):
+    assert _split_options(text) == expected == reference_split(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet='ab ;:"', max_size=40))
+def test_split_options_agrees_with_reference(text):
+    assert _split_options(text) == reference_split(text)
 
 
 def test_parse_rules_skips_comments_and_blanks():
