@@ -4,20 +4,64 @@ Supported patterns (one per output, comma-separated arguments)::
 
     tcp | udp | icmp            protocol match
     tcp dst port 443            protocol + destination port
-    src port 1194               source port
-    tos 0xeb                    TOS byte match (EndBox's c2c flag)
+    src port 1194               source port (0-65535)
+    tos 0xeb                    TOS byte match (0-255, EndBox's c2c flag)
     -                           catch-all
+
+Tokens of one pattern are a conjunction; the first matching pattern
+picks the output, and a packet no pattern matches is rejected.  The
+patterns compile at configure time into the same bit-vector
+:class:`~repro.click.elements.headerindex.HeaderIndex` IPFilter uses:
+one binary search per constrained field, an AND of per-interval pattern
+bitmasks, and the lowest set bit as the output port.  Repeated terms on
+one field intersect, so ``tcp udp`` never matches.  A malformed pattern
+raises :class:`~repro.click.element.ElementError` naming the element
+and the pattern.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import List
 
 from repro.click.element import Element, ElementError, Packet
+from repro.click.elements.headerindex import (
+    PORT_FIELDS,
+    PROTO,
+    PROTOCOLS,
+    TOS,
+    HeaderIndex,
+    Row,
+    port_number,
+    restrict,
+    tos_byte,
+)
 from repro.click.registry import register_element
-from repro.netsim.packet import PROTO_ICMP, PROTO_TCP, PROTO_UDP
 
-_PROTOS = {"tcp": PROTO_TCP, "udp": PROTO_UDP, "icmp": PROTO_ICMP}
+
+def _pattern_row(pattern: str) -> Row:
+    """The rule row of one pattern; ``ValueError`` if it is malformed."""
+    row: Row = {}
+    if pattern == "-":
+        return row
+    tokens = pattern.split()
+    index = 0
+    while index < len(tokens):
+        token = tokens[index]
+        if token in PROTOCOLS:
+            proto = PROTOCOLS[token]
+            restrict(row, PROTO, proto, proto)
+            index += 1
+        elif token in PORT_FIELDS and index + 2 < len(tokens) and tokens[index + 1] == "port":
+            port = port_number(tokens[index + 2])
+            restrict(row, PORT_FIELDS[token], port, port)
+            index += 3
+        elif token == "tos" and index + 1 < len(tokens):
+            tos = tos_byte(tokens[index + 1])
+            restrict(row, TOS, tos, tos)
+            index += 2
+        else:
+            raise ValueError(f"unexpected token {token!r}")
+    return row
 
 
 @register_element("IPClassifier")
@@ -27,44 +71,22 @@ class IPClassifier(Element):
     def configure(self, args: List[str]) -> None:
         if not args:
             raise ElementError(f"{self.name}: IPClassifier needs at least one pattern")
-        self._predicates: List[Callable[[Packet], bool]] = [
-            self._compile(pattern.strip()) for pattern in args
-        ]
-
-    def _compile(self, pattern: str) -> Callable[[Packet], bool]:
-        if pattern == "-":
-            return lambda packet: True
-        tokens = pattern.split()
-        checks: List[Callable[[Packet], bool]] = []
-        index = 0
-        while index < len(tokens):
-            token = tokens[index]
-            if token in _PROTOS:
-                proto = _PROTOS[token]
-                checks.append(lambda p, proto=proto: p.ip.protocol == proto)
-                index += 1
-            elif token in ("src", "dst") and index + 2 < len(tokens) and tokens[index + 1] == "port":
-                side = token
-                port = int(tokens[index + 2])
-                attr = "src_port" if side == "src" else "dst_port"
-                checks.append(lambda p, attr=attr, port=port: getattr(p.ip.l4, attr, None) == port)
-                index += 3
-            elif token == "tos" and index + 1 < len(tokens):
-                tos = int(tokens[index + 1], 0)
-                checks.append(lambda p, tos=tos: p.ip.tos == tos)
-                index += 2
-            else:
-                raise ElementError(f"{self.name}: cannot parse pattern {pattern!r}")
-        return lambda packet: all(check(packet) for check in checks)
+        rows: List[Row] = []
+        for pattern in args:
+            try:
+                rows.append(_pattern_row(pattern.strip()))
+            except ValueError as exc:
+                raise ElementError(f"{self.name}: cannot parse pattern {pattern!r}: {exc}") from None
+        self._index = HeaderIndex(rows)
 
     def push(self, port: int, packet: Packet) -> None:
-        for out_port, predicate in enumerate(self._predicates):
-            if predicate(packet):
-                self.output(out_port, packet)
-                return
-        packet.verdict = packet.verdict or "reject"
+        out_port = self._index.first_match(packet.ip)
+        if out_port < 0:
+            packet.verdict = packet.verdict or "reject"
+            return
+        self.output(out_port, packet)
 
     def check_wiring(self) -> None:
-        for out_port in range(len(self._predicates)):
+        for out_port in range(len(self.args)):
             if out_port >= len(self._outputs) or self._outputs[out_port] is None:
                 raise ElementError(f"{self.name}: pattern output {out_port} not connected")

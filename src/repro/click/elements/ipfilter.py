@@ -1,75 +1,87 @@
 """IPFilter: rule-based firewall element (the FW use case, §V-B).
 
 Each configuration argument is ``<action> <expression>`` where action is
-``allow`` or ``deny`` and the expression is a conjunction (``&&``) of:
+``allow``, ``deny`` or ``drop`` and the expression is a conjunction
+(``&&``) of:
 
 * ``all``
 * ``proto tcp|udp|icmp``
 * ``src host A.B.C.D`` / ``dst host A.B.C.D``
 * ``src net CIDR``      / ``dst net CIDR``
-* ``src port N[-M]``    / ``dst port N[-M]``
+* ``src port N[-M]``    / ``dst port N[-M]`` (0-65535, ``N <= M``)
 
 Rules are evaluated in order; the first match decides.  Allowed packets
 leave on output 0, denied packets on output 1 (or are rejected if
-output 1 is unconnected) — Click's IPFilter semantics.  The paper's FW
-configuration uses 16 rules that match no benchmark packet; see
-:func:`repro.click.configs.firewall_config`.
+output 1 is unconnected) — Click's IPFilter semantics.  A packet no rule
+matches is rejected.  The paper's FW configuration uses 16 rules that
+match no benchmark packet; see :func:`repro.click.configs.firewall_config`.
+
+At configure time the rule list compiles into one
+:class:`~repro.click.elements.headerindex.HeaderIndex`: each rule
+becomes a row of per-field intervals (a host or CIDR is an address
+interval, a port term a port interval, repeated terms on one field
+intersect), and a packet is classified with one binary search per
+constrained field and an AND of per-interval rule bitmasks.  The lowest
+set bit is the first matching rule, so first-match order is exactly
+that of evaluating the rules one by one.  A malformed term raises
+:class:`~repro.click.element.ElementError` naming the element and the
+term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List
 
 from repro.click.element import Element, ElementError, Packet
+from repro.click.elements.headerindex import (
+    DST,
+    PORT_FIELDS,
+    PROTO,
+    PROTOCOLS,
+    SRC,
+    HeaderIndex,
+    Row,
+    host_interval,
+    net_interval,
+    port_range,
+    restrict,
+)
 from repro.click.registry import register_element
-from repro.netsim.addresses import IPv4Address, IPv4Network
-from repro.netsim.packet import PROTO_ICMP, PROTO_TCP, PROTO_UDP
 
-_PROTOS = {"tcp": PROTO_TCP, "udp": PROTO_UDP, "icmp": PROTO_ICMP}
+_ADDRESS_FIELDS = {"src": SRC, "dst": DST}
 
 
 @dataclass
 class FilterRule:
+    """One configured rule: its action and its source text."""
+
     allow: bool
-    predicate: Callable[[Packet], bool]
     text: str
 
 
-def _compile_term(tokens: List[str]) -> Callable[[Packet], bool]:
+def _restrict_term(row: Row, tokens: List[str]) -> None:
+    """Narrow ``row`` by one term; ``ValueError`` if it is malformed."""
     if tokens == ["all"]:
-        return lambda packet: True
+        return
     if len(tokens) == 2 and tokens[0] == "proto":
-        proto = _PROTOS.get(tokens[1])
+        proto = PROTOCOLS.get(tokens[1])
         if proto is None:
-            raise ElementError(f"unknown protocol {tokens[1]!r}")
-        return lambda packet: packet.ip.protocol == proto
+            raise ValueError(f"unknown protocol {tokens[1]!r}")
+        restrict(row, PROTO, proto, proto)
+        return
     if len(tokens) == 3 and tokens[0] in ("src", "dst"):
         side, kind, value = tokens
         if kind == "host":
-            address = IPv4Address(value)
-            if side == "src":
-                return lambda packet: packet.ip.src == address
-            return lambda packet: packet.ip.dst == address
+            restrict(row, _ADDRESS_FIELDS[side], *host_interval(value))
+            return
         if kind == "net":
-            network = IPv4Network(value)
-            if side == "src":
-                return lambda packet: packet.ip.src in network
-            return lambda packet: packet.ip.dst in network
+            restrict(row, _ADDRESS_FIELDS[side], *net_interval(value))
+            return
         if kind == "port":
-            if "-" in value:
-                low_text, high_text = value.split("-", 1)
-                low, high = int(low_text), int(high_text)
-            else:
-                low = high = int(value)
-            attr = "src_port" if side == "src" else "dst_port"
-
-            def port_check(packet: Packet, attr=attr, low=low, high=high) -> bool:
-                port = getattr(packet.ip.l4, attr, None)
-                return port is not None and low <= port <= high
-
-            return port_check
-    raise ElementError(f"cannot parse filter term {' '.join(tokens)!r}")
+            restrict(row, PORT_FIELDS[side], *port_range(value))
+            return
+    raise ValueError("unknown term")
 
 
 @register_element("IPFilter")
@@ -80,33 +92,34 @@ class IPFilter(Element):
         if not args:
             raise ElementError(f"{self.name}: IPFilter needs at least one rule")
         self.rules: List[FilterRule] = []
+        rows: List[Row] = []
         for arg in args:
             parts = arg.split(None, 1)
             if len(parts) != 2 or parts[0] not in ("allow", "deny", "drop"):
                 raise ElementError(f"{self.name}: bad rule {arg!r}")
             action, expression = parts
-            terms = [term.strip().split() for term in expression.split("&&")]
-            predicates = [_compile_term(term) for term in terms]
-            self.rules.append(
-                FilterRule(
-                    allow=(action == "allow"),
-                    predicate=lambda p, preds=predicates: all(pred(p) for pred in preds),
-                    text=arg,
-                )
-            )
+            row: Row = {}
+            for term in expression.split("&&"):
+                try:
+                    _restrict_term(row, term.split())
+                except ValueError as exc:
+                    raise ElementError(
+                        f"{self.name}: cannot parse filter term {term.strip()!r}: {exc}"
+                    ) from None
+            self.rules.append(FilterRule(allow=(action == "allow"), text=arg))
+            rows.append(row)
+        self._index = HeaderIndex(rows)
         self.matched_counts = [0] * len(self.rules)
 
     def push(self, port: int, packet: Packet) -> None:
-        for index, rule in enumerate(self.rules):
-            if rule.predicate(packet):
-                self.matched_counts[index] += 1
-                if rule.allow:
-                    self.output(0, packet)
-                else:
-                    self.output(1, packet)  # unconnected output 1 rejects
-                return
-        # Click's IPFilter default: packets matching no rule are dropped.
-        packet.verdict = packet.verdict or "reject"
+        index = self._index.first_match(packet.ip)
+        if index < 0:
+            # Click's IPFilter default: packets matching no rule are dropped.
+            packet.verdict = packet.verdict or "reject"
+            return
+        self.matched_counts[index] += 1
+        # unconnected output 1 rejects
+        self.output(0 if self.rules[index].allow else 1, packet)
 
     def check_wiring(self) -> None:
         if not self._outputs or self._outputs[0] is None:

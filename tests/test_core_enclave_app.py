@@ -317,6 +317,44 @@ def test_malformed_rules_raise_config_error(initialized, world, rules):
     assert not egress_accepted(endbox, b"this is forbidden content")
 
 
+FW_WITH_RULES = (
+    "f :: FromDevice(); fw :: IPFilter(deny dst port 23, allow all);"
+    " ids :: IDSMatcher(); t :: ToDevice(); f -> fw -> ids -> t;"
+)
+
+
+@pytest.mark.parametrize(
+    "bad_element",
+    [
+        "IPFilter(deny dst port 80-, allow all)",
+        "IPFilter(deny src net 10.0.0.0/33, allow all)",
+        "IPFilter(deny src host 300.1.1.1, allow all)",
+        "IPFilter(deny dst port 70000, allow all)",
+        "IPFilter(deny dst port 90-80, allow all)",
+        "IPClassifier(tos 0xzz, -)",
+        "IPClassifier(udp dst port http, -)",
+    ],
+)
+def test_malformed_filter_term_raises_config_error(initialized, world, bad_element):
+    endbox, _sim = initialized
+    _ias, ca, *_ = world
+    forbid = 'alert udp any any -> any 5001 (msg:"x"; content:"forbidden"; sid:1;)'
+    endbox.gateway.ecall("apply_config", make_bundle(ca, 2, FW_WITH_RULES, rules=forbid).blob)
+    state = endbox.enclave.trusted_state
+    running = state["click"].router
+    other = 'alert udp any any -> any 5001 (msg:"y"; content:"unrelated"; sid:2;)'
+    bad_graph = f"f :: FromDevice(); x :: {bad_element}; t :: ToDevice(); f -> x -> t;"
+    with pytest.raises(ConfigError, match="rejected before swap"):
+        endbox.gateway.ecall("apply_config", make_bundle(ca, 3, bad_graph, rules=other).blob)
+    assert state["config_version"] == 2
+    assert state["click"].router is running
+    assert [r.sid for r in state["click_context"]["ruleset"]] == [1]
+    assert not egress_accepted(endbox, b"this is forbidden content")
+    assert egress_accepted(endbox, b"unrelated")
+    [(accepted, _)] = endbox.gateway.ecall("process_packet", [udp_packet(dport=23)], "egress", "encrypt+mac", True)
+    assert not accepted
+
+
 def test_simulation_mode_charges_no_transitions(world):
     ias, ca, image, _platform, _endbox, _storage = world
     platform = SgxPlatform(ias)
