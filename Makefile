@@ -1,7 +1,7 @@
 # EndBox reproduction - common targets
 PYTHON ?= python
 
-.PHONY: install test lint check bench experiments experiments-quick security coverage clean
+.PHONY: install test lint check digest-smoke bench experiments experiments-quick security coverage clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -21,7 +21,8 @@ lint:
 # the committed perf baseline (BENCH_micro.json must satisfy
 # every per-stage criterion — see `python -m repro.perf`), and the
 # perfbench self-test (fails when renamed IDS, Click or crypto entry
-# points leave a span of the traced benchmark nothing to wrap).
+# points leave a span of the traced benchmark nothing to wrap), and the
+# live digest smoke below.
 # The second lint run is warm (the first one filled .lint_cache) and
 # must come back under the 5 s latency budget.
 check: lint
@@ -34,6 +35,30 @@ check: lint
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_sim_parallel.py -q -k "digest_matches_serial"
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_fleet_scenario.py -q -k "rolling_restart_smoke"
 	$(PYTHON) perfbench/run.py --self-test
+	$(MAKE) --no-print-directory digest-smoke
+
+# Live digest smoke: a fresh 3 s perfbench run per workload (seed 1,
+# untraced) must be correct, fail no datagram and print the pinned
+# modeled-outcome digest.  The digest hashes the simulated outcome of
+# the run, not its wall time, so a refactor or speedup must leave it
+# alone.  Any change that does move modeled outcomes must update the
+# pin here and explain why in CHANGES.md.
+PERFBENCH_DIGESTS = \
+	small_fw=954a420e387f0bf7d9feeaff2a07b7975c54a38e0ad8ce8e2de2d5f525b096bd \
+	bulk_nop=d13437724c432092320fc45838da3198045258c4a52b490704cc63c9782fef75
+
+digest-smoke:
+	@set -e; for pin in $(PERFBENCH_DIGESTS); do \
+	  workload=$${pin%%=*}; want=$${pin#*=}; \
+	  out=$$($(PYTHON) perfbench/run.py --workload $$workload --seed 1 --seconds 3 --trace 0); \
+	  summary=$$(echo "$$out" | tail -n 1); \
+	  case "$$summary" in *'"correct": true'*) ;; *) echo "$$workload: not correct: $$summary"; exit 1;; esac; \
+	  case "$$summary" in *'"failed": 0,'*) ;; *) echo "$$workload: failed datagrams: $$summary"; exit 1;; esac; \
+	  echo "$$out" | grep -qx "modeled outcome digest $$want" || { \
+	    echo "$$workload: modeled outcome digest moved (pinned $$want):"; \
+	    echo "$$out" | grep "modeled outcome digest"; exit 1; }; \
+	  echo "$$workload: correct, 0 failed, digest $$want"; \
+	done
 
 # BENCH_micro.json is the committed regression baseline; refuse to
 # clobber it unless the caller explicitly opts in with FORCE=1.

@@ -122,16 +122,6 @@ HOT_ALLOWANCES: List[HotAllowance] = [
         ),
     ),
     HotAllowance(
-        rule="HP704",
-        path="repro/netsim/stack.py",
-        contains="parse_ipv4",
-        note=(
-            "IP reassembly: the joined fragment buffer is a new datagram "
-            "by construction and must be re-parsed to rebuild the L4 "
-            "object; there is no pre-existing buffer to view into"
-        ),
-    ),
-    HotAllowance(
         rule="HP703",
         path="repro/click/compiler.py",
         contains="f-string",

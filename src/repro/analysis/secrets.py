@@ -263,7 +263,7 @@ TRACE_METHODS: FrozenSet[str] = frozenset(
 #: constructors of wire packets; feeding them secrets *outside* the
 #: enclave is plaintext exfiltration onto the simulated wire (TF504).
 PACKET_CONSTRUCTORS: FrozenSet[str] = frozenset(
-    {"IPv4Packet", "UdpDatagram", "TcpSegment", "IcmpMessage", "WireFrame", "VpnPacket"}
+    {"IPv4Packet", "UdpDatagram", "TcpSegment", "IcmpMessage", "VpnPacket"}
 )
 PACKET_MODULE_PREFIXES = ("repro.netsim.packet.", "repro.vpn.protocol.")
 

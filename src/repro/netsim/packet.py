@@ -128,18 +128,20 @@ class UdpDatagram:
         return _UDP_HEADER.pack(self.src_port, self.dst_port, UDP_HEADER_LEN + len(tail), 0) + tail
 
     @classmethod
-    def parse(cls, data) -> "UdpDatagram":
-        if len(data) < UDP_HEADER_LEN:
+    def parse(cls, data, offset: int = 0) -> "UdpDatagram":
+        """Parse the datagram occupying ``data[offset:]``."""
+        size = len(data) - offset
+        if size < UDP_HEADER_LEN:
             raise ValueError("truncated UDP datagram")
-        src, dst, length, _checksum = _UDP_HEADER.unpack_from(data)
-        if length != len(data):
-            raise ValueError(f"UDP length field {length} != datagram size {len(data)}")
+        src, dst, length, _checksum = _UDP_HEADER.unpack_from(data, offset)
+        if length != size:
+            raise ValueError(f"UDP length field {length} != datagram size {size}")
         view = data if type(data) is memoryview else memoryview(data)
         dgram = cls.__new__(cls)
         dgram.src_port = src
         dgram.dst_port = dst
         # the one payload materialisation: the datagram owns its bytes
-        dgram.payload = bytes(view[UDP_HEADER_LEN:])
+        dgram.payload = bytes(view[offset + UDP_HEADER_LEN :])
         return dgram
 
 
@@ -196,12 +198,13 @@ class TcpSegment:
         )
 
     @classmethod
-    def parse(cls, data) -> "TcpSegment":
-        if len(data) < TCP_HEADER_LEN:
+    def parse(cls, data, offset: int = 0) -> "TcpSegment":
+        """Parse the segment occupying ``data[offset:]``."""
+        if len(data) - offset < TCP_HEADER_LEN:
             raise ValueError("truncated TCP segment")
-        src, dst, seq, ack, offset_flags, window, _ck, _urg = _TCP_HEADER.unpack_from(data)
+        src, dst, seq, ack, offset_flags, window, _ck, _urg = _TCP_HEADER.unpack_from(data, offset)
         data_offset = (offset_flags >> 12) * 4
-        if data_offset < TCP_HEADER_LEN or data_offset > len(data):
+        if data_offset < TCP_HEADER_LEN or data_offset > len(data) - offset:
             raise ValueError("bad TCP data offset")
         view = data if type(data) is memoryview else memoryview(data)
         segment = cls.__new__(cls)
@@ -211,7 +214,7 @@ class TcpSegment:
         segment.ack = ack
         segment.flags = offset_flags & 0x3F
         segment.window = window
-        segment.payload = bytes(view[data_offset:])
+        segment.payload = bytes(view[offset + data_offset :])
         return segment
 
 
@@ -242,17 +245,18 @@ class IcmpMessage:
         return bytes(out)
 
     @classmethod
-    def parse(cls, data) -> "IcmpMessage":
-        if len(data) < ICMP_HEADER_LEN:
+    def parse(cls, data, offset: int = 0) -> "IcmpMessage":
+        """Parse the message occupying ``data[offset:]``."""
+        if len(data) - offset < ICMP_HEADER_LEN:
             raise ValueError("truncated ICMP message")
-        icmp_type, code, _checksum, identifier, sequence = _ICMP_HEADER.unpack_from(data)
+        icmp_type, code, _checksum, identifier, sequence = _ICMP_HEADER.unpack_from(data, offset)
         view = data if type(data) is memoryview else memoryview(data)
         message = cls.__new__(cls)
         message.icmp_type = icmp_type
         message.code = code
         message.identifier = identifier
         message.sequence = sequence
-        message.payload = bytes(view[ICMP_HEADER_LEN:])
+        message.payload = bytes(view[offset + ICMP_HEADER_LEN :])
         return message
 
     def make_reply(self) -> "IcmpMessage":
@@ -439,9 +443,9 @@ class IPv4Packet:
 # Semantically identical to the dataclass constructors for
 # already-normalised arguments (ports/fields in wire range; src/dst as
 # IPv4Address instances for new_ipv4).  The per-packet paths — parsers,
-# fragmentation, the TCP send path, wire-frame snapshots — build one
-# object per packet, where skipping the generated __init__ (and
-# __post_init__'s re-coercion of known-good fields) is a measurable win.
+# fragmentation, the TCP send path — build one object per packet, where
+# skipping the generated __init__ (and __post_init__'s re-coercion of
+# known-good fields) is a measurable win.
 
 
 def new_udp(src_port: int, dst_port: int, payload: bytes) -> UdpDatagram:
@@ -508,110 +512,28 @@ def new_ipv4(
     return packet
 
 
-class WireFrame:
-    """A cut-through stand-in for a serialized packet on a link.
+def parse_l4(protocol: int, data, offset: int = 0) -> L4Message:
+    """Parse the L4 message of ``protocol`` occupying ``data[offset:]``.
 
-    Links and interfaces treat frames opaquely (length for delay and
-    byte counters, FIFO queueing); only the far end parses.  When a
-    packet provably round-trips — :func:`fast_wire_frame` admits it —
-    the wire bytes are never materialised: the frame carries a snapshot
-    packet object equal to ``parse_ipv4(packet.serialize())``, built
-    once at send time (so later mutation of the original cannot leak
-    into frames already in flight, exactly like a byte snapshot).
-
-    ``len(frame)`` equals the serialized length, so transmission delay,
-    MTU checks and interface byte counters are unchanged.
+    The one protocol dispatch, shared by :func:`parse_ipv4` and IP
+    reassembly.  Unknown protocols come back as raw bytes.
     """
-
-    __slots__ = ("packet", "_length")
-
-    def __init__(self, packet: IPv4Packet, length: int) -> None:
-        self.packet = packet
-        self._length = length
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<WireFrame {self.packet!r}>"
-
-
-def fast_wire_frame(packet: IPv4Packet) -> Optional[WireFrame]:
-    """Snapshot ``packet`` as a :class:`WireFrame`, or None when
-    ineligible (caller then serializes for real).
-
-    Eligibility mirrors what ``parse_ipv4(packet.serialize())`` does:
-    every field must survive the round trip unchanged (no fragments, no
-    raw-bytes L4, all header fields in wire range, L4 fields within the
-    masks parse applies).  Anything unusual — crafted packets from
-    attack scenarios, out-of-range values that serialize would reject —
-    falls back to the byte path and behaves exactly as before.
-    """
-    if packet.frag_offset or packet.more_fragments:
-        return None
-    if not (
-        0 <= packet.tos <= 0xFF
-        and 0 <= packet.ttl <= 0xFF
-        and 0 <= packet.identification <= 0xFFFF
-    ):
-        return None
-    l4 = packet.l4
-    l4_type = type(l4)
-    if l4_type is UdpDatagram:
-        if (
-            packet.protocol != PROTO_UDP
-            or type(l4.payload) is not bytes
-            or not (0 <= l4.src_port <= 0xFFFF and 0 <= l4.dst_port <= 0xFFFF)
-        ):
-            return None
-        new_l4: L4Message = new_udp(l4.src_port, l4.dst_port, l4.payload)
-    elif l4_type is TcpSegment:
-        if (
-            packet.protocol != PROTO_TCP
-            or type(l4.payload) is not bytes
-            or not (0 <= l4.src_port <= 0xFFFF and 0 <= l4.dst_port <= 0xFFFF)
-            or not 0 <= l4.window <= 0xFFFF
-            or l4.seq != l4.seq & 0xFFFFFFFF
-            or l4.ack != l4.ack & 0xFFFFFFFF
-            or l4.flags != l4.flags & 0x3F
-        ):
-            return None
-        new_l4 = new_tcp(l4.src_port, l4.dst_port, l4.seq, l4.ack, l4.flags, l4.window, l4.payload)
-    elif l4_type is IcmpMessage:
-        if (
-            packet.protocol != PROTO_ICMP
-            or type(l4.payload) is not bytes
-            or not (0 <= l4.icmp_type <= 0xFF and 0 <= l4.code <= 0xFF)
-            or not (0 <= l4.identifier <= 0xFFFF and 0 <= l4.sequence <= 0xFFFF)
-        ):
-            return None
-        new_l4 = new_icmp(l4.icmp_type, l4.code, l4.identifier, l4.sequence, l4.payload)
-    else:
-        return None
-    total = IPV4_HEADER_LEN + len(new_l4)
-    if total > 0xFFFF:
-        return None  # serialize would overflow the length field; use it
-    snapshot = new_ipv4(
-        packet.src,
-        packet.dst,
-        new_l4,
-        packet.tos,
-        packet.ttl,
-        packet.identification,
-        packet.protocol,
-    )
-    frame = WireFrame.__new__(WireFrame)
-    frame.packet = snapshot
-    frame._length = total
-    return frame
+    if protocol == PROTO_UDP:
+        return UdpDatagram.parse(data, offset)
+    if protocol == PROTO_TCP:
+        return TcpSegment.parse(data, offset)
+    if protocol == PROTO_ICMP:
+        return IcmpMessage.parse(data, offset)
+    view = data if type(data) is memoryview else memoryview(data)
+    return bytes(view[offset:])
 
 
 def parse_ipv4(data, verify_checksum: bool = False) -> IPv4Packet:
     """Parse a bytes-like buffer into an :class:`IPv4Packet`.
 
-    Header fields are read in place (no header slice); the L4 payload is
-    materialised exactly once, inside the L4 parser (or here for raw and
-    fragment bodies).
+    Header fields are read in place (no header slice) and the L4 parser
+    reads the same buffer at offset 20; the L4 payload is materialised
+    exactly once, inside the L4 parser (or here for fragment bodies).
     """
     if len(data) < IPV4_HEADER_LEN:
         raise ValueError("truncated IPv4 packet")
@@ -637,13 +559,13 @@ def parse_ipv4(data, verify_checksum: bool = False) -> IPv4Packet:
         )
         if expected != checksum:
             raise ValueError("IPv4 header checksum mismatch")
-    view = data if type(data) is memoryview else memoryview(data)
     src = IPv4Address.from_value(src_value)
     dst = IPv4Address.from_value(dst_value)
     more_fragments = flags_frag & 0x2000
     frag_offset = flags_frag & 0x1FFF
     if more_fragments or frag_offset:
         # fragments keep a raw body; L4 parsing happens after reassembly
+        view = data if type(data) is memoryview else memoryview(data)
         return new_ipv4(
             src,
             dst,
@@ -655,13 +577,5 @@ def parse_ipv4(data, verify_checksum: bool = False) -> IPv4Packet:
             frag_offset,
             bool(more_fragments),
         )
-    l4: L4Message
-    if protocol == PROTO_UDP:
-        l4 = UdpDatagram.parse(view[IPV4_HEADER_LEN:])
-    elif protocol == PROTO_TCP:
-        l4 = TcpSegment.parse(view[IPV4_HEADER_LEN:])
-    elif protocol == PROTO_ICMP:
-        l4 = IcmpMessage.parse(view[IPV4_HEADER_LEN:])
-    else:
-        l4 = bytes(view[IPV4_HEADER_LEN:])
+    l4 = parse_l4(protocol, data, IPV4_HEADER_LEN)
     return new_ipv4(src, dst, l4, tos, ttl, identification, protocol)

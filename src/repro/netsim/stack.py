@@ -21,22 +21,27 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from repro.netsim.addresses import IPv4Address, IPv4Network, as_address
 from repro.netsim.interface import Interface
 from repro.netsim.packet import (
+    IPV4_HEADER_LEN,
     PROTO_ICMP,
-    PROTO_TCP,
     PROTO_UDP,
     IcmpMessage,
     IPv4Packet,
     TcpSegment,
     UdpDatagram,
-    WireFrame,
-    fast_wire_frame,
     new_ipv4,
     new_udp,
     parse_ipv4,
+    parse_l4,
 )
+from repro.netsim.tun import TunDevice
 from repro.sim import FifoStore, Simulator
 
 PacketHook = Callable[[IPv4Packet], Optional[IPv4Packet]]
+
+#: the largest IPv4 body: the 16-bit total-length field covers the header
+_MAX_IP_BODY = 0xFFFF - IPV4_HEADER_LEN
+#: datagrams reassembled at once; a new one past this evicts the oldest
+_MAX_PENDING_DATAGRAMS = 256
 
 
 class StackError(RuntimeError):
@@ -69,10 +74,6 @@ class UdpSocket:
     def recv(self):
         """Event yielding ``(payload, src_addr, src_port, packet)``."""
         return self._inbox.get()
-
-    def try_recv(self):
-        """Non-blocking receive; returns None when empty."""
-        return self._inbox.try_get()
 
     def pending(self) -> int:
         """Number of queued items."""
@@ -137,10 +138,6 @@ class NetworkStack:
         self._route_seq = getattr(self, "_route_seq", 0) + 1
         self._routes.append((network, interface, self._route_seq))
         self._routes.sort(key=lambda item: (-item[0].prefix_len, -item[2]))
-
-    def local_addresses(self) -> List[IPv4Address]:
-        """Every address assigned to this stack."""
-        return [itf.address for itf in self.interfaces if itf.address is not None]
 
     def is_local(self, address: IPv4Address) -> bool:
         """True when the address belongs to this stack."""
@@ -251,8 +248,6 @@ class NetworkStack:
         if egress is None:
             self.packets_dropped += 1
             return False
-        from repro.netsim.tun import TunDevice
-
         if isinstance(egress, TunDevice):
             self.packets_sent += 1
             egress.enqueue_outbound(packet)
@@ -271,10 +266,7 @@ class NetworkStack:
             else:
                 self.packets_dropped += 1
             return ok
-        # cut-through fast path: provably round-trippable packets cross
-        # the link as a snapshot object instead of serialize+parse bytes
-        frame = fast_wire_frame(packet)
-        ok = egress.send(frame if frame is not None else packet.serialize())
+        ok = egress.send(packet.serialize())
         if ok:
             self.packets_sent += 1
         else:
@@ -285,9 +277,6 @@ class NetworkStack:
     # ingress path
     # ------------------------------------------------------------------
     def _on_frame(self, frame: bytes, interface: Interface) -> None:
-        if type(frame) is WireFrame:
-            self.inject(frame.packet, interface)
-            return
         try:
             packet = parse_ipv4(frame)
         except ValueError:
@@ -324,10 +313,13 @@ class NetworkStack:
     def _reassemble(self, packet: IPv4Packet) -> Optional[IPv4Packet]:
         """Collect IP fragments; returns the full packet when complete.
 
-        Per-datagram state is two flat dicts (offset -> body slice, and
+        Per-datagram state is two flat dicts (offset -> body, and
         datagram key -> expected total) so the per-fragment path only
         touches existing containers instead of allocating an entry
-        structure per fragment.
+        structure per fragment.  A datagram whose fragments overlap or
+        disagree on its end (RFC 5722), or that would exceed the IPv4
+        maximum size, is discarded whole and counted as one drop.  The
+        L4 message is parsed straight from the assembled buffer.
         """
         table = getattr(self, "_ip_fragments", None)
         if table is None:
@@ -337,35 +329,52 @@ class NetworkStack:
         key = (packet.src, packet.dst, packet.identification, packet.protocol)
         frags = table.get(key)
         if frags is None:
+            if len(table) >= _MAX_PENDING_DATAGRAMS:  # evict the oldest
+                stale = next(iter(table))
+                del table[stale]
+                totals.pop(stale, None)
             frags = table[key] = {}
-        l4 = packet.l4
-        tail = l4 if isinstance(l4, bytes) else l4.serialize()
-        frags[packet.frag_offset * 8] = tail
-        if not packet.more_fragments:
-            totals[key] = packet.frag_offset * 8 + len(tail)
+        body = packet.l4
+        start = packet.frag_offset * 8
+        end = start + len(body)
+        if end > _MAX_IP_BODY or start in frags:
+            return self._discard_datagram(key)
+        frags[start] = body
+        if not packet.more_fragments and totals.setdefault(key, end) != end:
+            return self._discard_datagram(key)
         total = totals.get(key)
         if total is None:
             return None
         covered = 0
-        assembled = bytearray(total)
         for offset in sorted(frags):
-            part = frags[offset]
-            assembled[offset : offset + len(part)] = part
-            covered += len(part)
+            if offset > covered:
+                break  # a hole: more fragments to come
+            if offset < covered:
+                return self._discard_datagram(key)
+            covered = offset + len(frags[offset])
+        if covered > total:
+            return self._discard_datagram(key)
         if covered < total:
-            if len(table) > 256:  # bound the table
-                stale = next(iter(table))
-                table.pop(stale)
-                totals.pop(stale, None)
             return None
         del table[key]
         del totals[key]
-        full = packet.copy(l4=bytes(assembled), frag_offset=0, more_fragments=False)
+        assembled = bytearray(total)
+        for offset, part in frags.items():
+            assembled[offset : offset + len(part)] = part
         try:
-            return parse_ipv4(full.serialize())
+            l4 = parse_l4(packet.protocol, assembled)
         except ValueError:
             self.packets_dropped += 1
             return None
+        return new_ipv4(
+            packet.src, packet.dst, l4, packet.tos, packet.ttl, packet.identification, packet.protocol
+        )
+
+    def _discard_datagram(self, key) -> None:
+        """Drop every fragment collected for ``key`` and count one drop."""
+        self._ip_fragments.pop(key, None)
+        self._ip_frag_totals.pop(key, None)
+        self.packets_dropped += 1
 
     def _deliver_local(self, packet: IPv4Packet, interface: Optional[Interface]) -> None:
         if packet.is_fragment:

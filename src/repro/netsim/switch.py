@@ -9,13 +9,17 @@ of a cut-through datacentre switch.
 
 from __future__ import annotations
 
+import struct
 from typing import Dict, List, Optional, Tuple
 
 from repro.netsim.addresses import IPv4Address, IPv4Network
 from repro.netsim.interface import Interface
 from repro.netsim.link import Link
-from repro.netsim.packet import WireFrame, parse_ipv4
+from repro.netsim.packet import IPV4_HEADER_LEN
 from repro.sim import Simulator
+
+#: the destination-address field, read in place at byte 16 of the header
+_DST_FIELD = struct.Struct(">I")
 
 
 class Switch:
@@ -63,15 +67,10 @@ class Switch:
         return self.default_port
 
     def _on_frame(self, frame: bytes, ingress: Interface) -> None:
-        if type(frame) is WireFrame:
-            dst = frame.packet.dst
-        else:
-            try:
-                dst = IPv4Address.from_bytes(frame[16:20])
-            except ValueError:
-                self.packets_dropped += 1
-                return
-        egress = self._lookup(dst)
+        if len(frame) < IPV4_HEADER_LEN:
+            self.packets_dropped += 1
+            return
+        egress = self._lookup(IPv4Address.from_value(_DST_FIELD.unpack_from(frame, 16)[0]))
         if egress is None or egress is ingress:
             self.packets_dropped += 1
             return
@@ -81,8 +80,3 @@ class Switch:
                 return
         self.packets_forwarded += 1
         self.sim.schedule(self.forwarding_delay, lambda: egress.send(frame))
-
-    # Convenience used by tests/tools
-    def parse_and_lookup(self, frame: bytes) -> Optional[Interface]:
-        """Parse a frame and return its egress port (diagnostics)."""
-        return self._lookup(parse_ipv4(frame).dst)

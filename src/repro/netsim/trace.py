@@ -25,8 +25,6 @@ from repro.netsim.packet import (
     PROTO_ICMP,
     PROTO_TCP,
     PROTO_UDP,
-    IPv4Packet,
-    WireFrame,
     parse_ipv4,
 )
 from repro.sim import Simulator
@@ -96,13 +94,10 @@ class PacketTracer:
         if len(self.entries) >= self.max_entries:
             self.dropped_entries += 1
             return
-        if type(frame) is WireFrame:
-            packet = frame.packet
-        else:
-            try:
-                packet = parse_ipv4(frame)
-            except ValueError:
-                return
+        try:
+            packet = parse_ipv4(frame)
+        except ValueError:
+            return
         l4 = packet.l4
         self.entries.append(
             TraceEntry(

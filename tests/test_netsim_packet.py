@@ -13,7 +13,7 @@ from repro.netsim import (
     UdpDatagram,
     parse_ipv4,
 )
-from repro.netsim.packet import ENDBOX_PROCESSED_TOS, internet_checksum
+from repro.netsim.packet import ENDBOX_PROCESSED_TOS, PROTO_UDP, internet_checksum
 
 
 # ----------------------------------------------------------------------
@@ -123,6 +123,27 @@ def test_ipv4_length_field_validated():
     data = IPv4Packet(src="1.1.1.1", dst="2.2.2.2", l4=b"abcd").serialize()
     with pytest.raises(ValueError):
         parse_ipv4(data + b"extra")
+
+
+def _udp_length_off_by_one():
+    udp = bytearray(UdpDatagram(1, 2, b"abcdef").serialize())
+    udp[4:6] = (len(udp) + 1).to_bytes(2, "big")
+    return bytes(udp)
+
+
+@pytest.mark.parametrize(
+    "udp, error",
+    [
+        (UdpDatagram(1, 2, b"").serialize()[:5], "truncated UDP"),
+        (_udp_length_off_by_one(), "UDP length field"),
+    ],
+    ids=["truncated-udp-header", "udp-length-mismatch"],
+)
+@pytest.mark.parametrize("wrap", [bytes, memoryview], ids=["bytes", "memoryview"])
+def test_ipv4_rejects_malformed_udp(udp, error, wrap):
+    data = IPv4Packet(src="1.1.1.1", dst="2.2.2.2", l4=udp, protocol=PROTO_UDP).serialize()
+    with pytest.raises(ValueError, match=error):
+        parse_ipv4(wrap(data))
 
 
 def test_ipv4_copy_keeps_other_fields():

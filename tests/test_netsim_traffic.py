@@ -4,6 +4,7 @@ import pytest
 
 from repro.netsim import IPv4Packet, StarTopology, UdpDatagram, parse_ipv4
 from repro.netsim.host import class_a_host, class_b_host
+from repro.netsim.packet import PROTO_UDP
 from repro.netsim.traffic import HEADER_BYTES, UdpSink, UdpTrafficSource, make_payload
 from repro.sim import Simulator
 
@@ -120,6 +121,62 @@ def test_fragment_helper_roundtrip():
     assert all(p.is_fragment for p in parsed)
     reassembled = b"".join(p.l4 for p in parsed)
     assert reassembled == packet.l4.serialize()
+
+
+def _fragment(a, b, body, offset, more):
+    """A raw UDP fragment from ``a`` to ``b`` at byte ``offset``."""
+    return IPv4Packet(
+        src=a.address,
+        dst=b.address,
+        l4=body,
+        identification=7,
+        protocol=PROTO_UDP,
+        frag_offset=offset // 8,
+        more_fragments=more,
+    )
+
+
+def test_reassembly_drops_oversize_datagram(pair):
+    _sim, a, b = pair
+    sock = b.stack.udp_socket(5000)
+    before = b.stack.packets_dropped
+    # 8 x 8200 B = 65,600 B of body: past the 65,535-byte IPv4 maximum
+    for index in range(8):
+        b.stack.inject(_fragment(a, b, bytes(8200), index * 8200, index < 7))
+    assert b.stack.packets_dropped == before + 1
+    assert sock.pending() == 0
+
+
+def test_reassembly_drops_overlapping_fragments(pair):
+    _sim, a, b = pair
+    sock = b.stack.udp_socket(5000)
+    before = b.stack.packets_dropped
+    wire = UdpDatagram(4000, 5000, bytes(range(1, 93))).serialize()  # 100 bytes
+    # offsets 0 and 8 overlap, and bytes 72-95 never arrive: the lengths
+    # still add up to more than the 100-byte total (RFC 5722)
+    for offset, size, more in ((0, 64, True), (8, 64, True), (96, 4, False)):
+        b.stack.inject(_fragment(a, b, wire[offset : offset + size], offset, more))
+    assert b.stack.packets_dropped == before + 1
+    assert sock.pending() == 0
+
+
+def test_reassembly_table_stays_bounded_without_last_fragments(pair):
+    _sim, a, b = pair
+    for ident in range(300):
+        first = _fragment(a, b, bytes(64), 0, True)
+        first.identification = ident
+        b.stack.inject(first)
+    assert len(b.stack._ip_fragments) == 256
+
+
+def test_reassembly_accepts_out_of_order_fragments(pair):
+    _sim, a, b = pair
+    sock = b.stack.udp_socket(5000)
+    wire = UdpDatagram(4000, 5000, bytes(range(1, 93))).serialize()
+    for offset, size, more in ((96, 4, False), (0, 48, True), (48, 48, True)):
+        b.stack.inject(_fragment(a, b, wire[offset : offset + size], offset, more))
+    assert sock.pending() == 1
+    assert sock._inbox.try_get()[0] == bytes(range(1, 93))
 
 
 def test_small_packet_not_fragmented():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.netsim import IPv4Network, IPv4Packet, StarTopology, UdpDatagram
 from repro.netsim.host import Host, class_a_host, class_b_host
+from repro.netsim.packet import PROTO_ICMP, PROTO_TCP, PROTO_UDP
 from repro.netsim.tcp import TcpError
 from repro.sim import Simulator
 
@@ -115,6 +116,45 @@ def test_tcp_connect_send_receive(lan):
     sim.process(client())
     sim.run(until=5.0)
     assert got == [b"hello world", b"pong"]
+
+
+def test_every_link_delivers_bytes(lan):
+    """``parse_ipv4`` is the one ingress path: links carry wire bytes only."""
+    sim, topo, alice, bob = lan
+    frames = []
+    for port in (*topo.switch.ports, alice.stack.interfaces[0], bob.stack.interfaces[0]):
+
+        def tapped(frame, deliver=port.deliver):
+            frames.append(frame)
+            deliver(frame)
+
+        port.deliver = tapped
+    got = []
+
+    def udp_server():
+        sock = bob.stack.udp_socket(5001)
+        payload, *_ = yield sock.recv()
+        got.append(payload)
+
+    def tcp_server():
+        listener = bob.stack.tcp.listen(8080)
+        conn = yield listener.accept()
+        got.append((yield sim.process(conn.read_exactly(3))))
+
+    def client():
+        alice.stack.udp_socket().sendto(b"udp", bob.address, 5001)
+        rtt = yield sim.process(alice.stack.ping(bob.address))
+        got.append(rtt is not None)
+        conn = yield sim.process(alice.stack.tcp.connect(bob.address, 8080))
+        conn.send(b"tcp")
+
+    sim.process(udp_server())
+    sim.process(tcp_server())
+    sim.process(client())
+    sim.run(until=1.0)
+    assert got == [b"udp", True, b"tcp"]
+    assert {type(frame) for frame in frames} == {bytes}
+    assert {frame[9] for frame in frames} == {PROTO_ICMP, PROTO_TCP, PROTO_UDP}
 
 
 def test_tcp_bulk_transfer_integrity(lan):

@@ -169,3 +169,7 @@ def test_parse_serialize_fixpoint(payload):
     once = parse_ipv4(packet.serialize())
     twice = parse_ipv4(once.serialize())
     assert once.serialize() == twice.serialize()
+    # the parse reads headers in place at offsets, so a view parses the same
+    viewed = parse_ipv4(memoryview(once.serialize()))
+    assert type(viewed.l4.payload) is bytes
+    assert viewed.serialize() == once.serialize()

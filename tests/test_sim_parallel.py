@@ -9,9 +9,11 @@ from repro.experiments.fig10_swarm import (
     run_swarm,
     swarm_throughput_bps,
 )
+from repro.netsim import IPv4Address, IPv4Network, IPv4Packet, UdpDatagram
 from repro.netsim.interface import Interface
 from repro.netsim.link import Link
 from repro.netsim.shardlink import CrossShardEgressLink, CrossShardIngressPort
+from repro.netsim.stack import NetworkStack
 from repro.sim import SimulationError, Simulator
 from repro.sim.parallel import (
     CrossShardFabric,
@@ -270,6 +272,27 @@ def test_cross_shard_link_matches_local_link_timing():
     plan = ShardPlan.partition(1, 2, lookahead_s=20e-6)
     run_sharded(build, plan, horizon, mode="inline")
     assert shard_arrivals == ref_arrivals
+
+
+def test_stack_over_cross_shard_link_emits_serialized_frames():
+    """A stack's frames cross a shard boundary as the datagram's wire bytes."""
+    sim = Simulator()
+    fabric = CrossShardFabric(shard_index=0, n_shards=1)
+    xlink = CrossShardEgressLink(sim, fabric, "uplink", dest_shard=0, name="xstack")
+    stack = NetworkStack(sim, "client")
+    nic = Interface("client.eth0", IPv4Address("10.0.0.2"))
+    xlink.attach(nic)
+    stack.add_interface(nic, IPv4Network("10.0.0.0/24"))
+    assert stack.udp_socket(4000).sendto(b"hello", IPv4Address("10.0.0.9"), 5000)
+    sim.run(until=0.01)
+    wire = IPv4Packet(
+        src="10.0.0.2", dst="10.0.0.9", l4=UdpDatagram(4000, 5000, b"hello")
+    ).serialize()
+    assert xlink.frames_sent == 1
+    assert xlink.bytes_delivered == len(wire)
+    [(channel, _dest, _batched, frames)] = fabric.drain()
+    assert channel == "uplink"
+    assert [payload for _at, _index, payload in frames] == [wire]
 
 
 def test_cross_shard_link_enforces_mtu_and_queue_bound():
