@@ -38,26 +38,32 @@ check: lint
 	$(MAKE) --no-print-directory digest-smoke
 
 # Live digest smoke: a fresh 3 s perfbench run per workload (seed 1,
-# untraced) must be correct, fail no datagram and print the pinned
-# modeled-outcome digest.  The digest hashes the simulated outcome of
-# the run, not its wall time, so a refactor or speedup must leave it
-# alone.  Any change that does move modeled outcomes must update the
-# pin here and explain why in CHANGES.md.
+# untraced) must be correct, fail exactly the pinned number of
+# datagrams and print the pinned modeled-outcome digest.  The digest
+# hashes the simulated outcome of the run, not its wall time, so a
+# refactor or speedup must leave it alone.  Any change that does move
+# modeled outcomes must update the pin here and explain why in
+# CHANGES.md.  Each pin is workload=failed=digest.  fleet_rollout's 5
+# failures are the modeled mid-hot-swap drops in
+# EndBoxClient._enclave_burst; it keeps the multi-session CPU pool and
+# the signed-rollout path live in the gate.  fleet_rollout adds about
+# 9 s of wall time (2 vCPUs), for about 25 s in total.
 PERFBENCH_DIGESTS = \
-	small_fw=954a420e387f0bf7d9feeaff2a07b7975c54a38e0ad8ce8e2de2d5f525b096bd \
-	bulk_nop=d13437724c432092320fc45838da3198045258c4a52b490704cc63c9782fef75
+	small_fw=0=954a420e387f0bf7d9feeaff2a07b7975c54a38e0ad8ce8e2de2d5f525b096bd \
+	bulk_nop=0=d13437724c432092320fc45838da3198045258c4a52b490704cc63c9782fef75 \
+	fleet_rollout=5=cd034c18e640e42ce913be3d63efccce61cd02d5fb1afb3ac73e97bdcb169181
 
 digest-smoke:
 	@set -e; for pin in $(PERFBENCH_DIGESTS); do \
-	  workload=$${pin%%=*}; want=$${pin#*=}; \
+	  workload=$${pin%%=*}; rest=$${pin#*=}; failed=$${rest%%=*}; want=$${rest#*=}; \
 	  out=$$($(PYTHON) perfbench/run.py --workload $$workload --seed 1 --seconds 3 --trace 0); \
 	  summary=$$(echo "$$out" | tail -n 1); \
 	  case "$$summary" in *'"correct": true'*) ;; *) echo "$$workload: not correct: $$summary"; exit 1;; esac; \
-	  case "$$summary" in *'"failed": 0,'*) ;; *) echo "$$workload: failed datagrams: $$summary"; exit 1;; esac; \
+	  case "$$summary" in *"\"failed\": $$failed,"*) ;; *) echo "$$workload: failed datagrams (pinned $$failed): $$summary"; exit 1;; esac; \
 	  echo "$$out" | grep -qx "modeled outcome digest $$want" || { \
 	    echo "$$workload: modeled outcome digest moved (pinned $$want):"; \
 	    echo "$$out" | grep "modeled outcome digest"; exit 1; }; \
-	  echo "$$workload: correct, 0 failed, digest $$want"; \
+	  echo "$$workload: correct, $$failed failed, digest $$want"; \
 	done
 
 # BENCH_micro.json is the committed regression baseline; refuse to

@@ -188,6 +188,16 @@ def collect_functions(module: ModuleInfo) -> List[FunctionInfo]:
                 visit(stmt.body, stack + [stmt.name], in_class=False)
             elif isinstance(stmt, ast.ClassDef):
                 visit(stmt.body, stack + [stmt.name], in_class=True)
+            elif not in_class:
+                # a def under if/for/while/with/try keeps its enclosing
+                # qualname: ``_make_edge`` picks one ``edge`` closure per
+                # branch, and each is a ``_make_edge.edge``
+                for field in ("body", "orelse", "finalbody", "handlers"):
+                    for child in getattr(stmt, field, ()):
+                        if isinstance(child, ast.ExceptHandler):
+                            visit(child.body, stack, in_class=False)
+                        elif isinstance(child, ast.stmt):
+                            visit([child], stack, in_class=False)
 
     visit(module.tree.body, [], in_class=False)
     return functions

@@ -15,9 +15,15 @@ Hot seeds are the code-reviewed :data:`HOT_SEEDS` table of per-packet
 entry points: compiled Click dispatch closures, ``Router.process`` /
 ``process_batch``, the gateway ``ecall``/``ocall`` crossings,
 ``ecall_process_packet``, data-channel protect/unprotect, keystream
-generation, and netsim frame delivery.
+generation, netsim frame delivery (the scheduled link departure
+callbacks), the CPU pool's completion callback and the VPN dispatch
+handlers.  Every seed must name a function or closure of the tree
+(``tests/test_hotpath.py`` checks), so a rename cannot silently drop
+its subtree from the hot set.
 Bound method references (``push = target.push``) count as call edges so
 compiled dispatch pulls every ``Element.push`` body into the hot set.
+A generator handed to ``sim.process(...)`` does not: its body runs later
+as a process of its own.
 
 Five rules are reported over hot functions:
 
@@ -52,7 +58,12 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from repro.analysis.dataflow import FunctionInfo
 from repro.analysis.engine import ModuleInfo
 from repro.analysis.findings import Finding
-from repro.analysis.ownergraph import GENERIC_NAMES, MUTATING_METHODS, OwnershipAnalysis
+from repro.analysis.ownergraph import (
+    GENERIC_NAMES,
+    MUTATING_METHODS,
+    SIM_RECEIVERS,
+    OwnershipAnalysis,
+)
 
 # ----------------------------------------------------------------------
 # rule family
@@ -166,10 +177,25 @@ HOT_SEEDS: FrozenSet[Tuple[str, str]] = frozenset(
         ("repro.vpn.channel", "DataChannel.unprotect"),
         ("repro.vpn.channel", "DataChannel.unprotect_batch"),
         ("repro.crypto.stream", "KeystreamCipher.process"),
-        # netsim frame delivery
-        ("repro.netsim.link", "Link._pump"),
+        # netsim frame delivery: enqueue, the scheduled departure
+        # callbacks, and arrival (``Interface.deliver`` is the arrival
+        # callback a departure schedules)
         ("repro.netsim.link", "Link.transmit"),
+        ("repro.netsim.link", "LinkDirection._serialise"),
+        ("repro.netsim.link", "LinkDirection._depart"),
+        ("repro.netsim.link", "Link._depart"),
+        ("repro.netsim.shardlink", "CrossShardEgressLink._depart"),
         ("repro.netsim.interface", "Interface.deliver"),
+        # the CPU pool: submission (``run`` is too generic a name for
+        # the bare-name fallback to reach it) and the scheduled
+        # completion callback
+        ("repro.sim.resources", "CpuCores.run"),
+        ("repro.sim.resources", "CpuWork._complete"),
+        # VPN dispatch handlers the socket and TUN device call on delivery
+        ("repro.vpn.openvpn", "OpenVpnServer._rx_dispatch"),
+        ("repro.vpn.openvpn", "OpenVpnServer._tx_dispatch"),
+        ("repro.vpn.openvpn", "OpenVpnClient._rx_dispatch"),
+        ("repro.vpn.openvpn", "OpenVpnClient._tun_dispatch"),
         # VPN per-packet workers (server sessions, client loops)
         ("repro.vpn.openvpn", "OpenVpnServer._session_rx"),
         ("repro.vpn.openvpn", "OpenVpnServer._session_tx"),
@@ -263,6 +289,17 @@ def _is_copy_expr(node: ast.expr) -> bool:
     return False
 
 
+def _is_process_spawn(node: ast.Call) -> bool:
+    """``sim.process(...)`` / ``self.sim.process(...)``: a new process."""
+    func = node.func
+    if not isinstance(func, ast.Attribute) or func.attr != "process":
+        return False
+    receiver = func.value
+    if isinstance(receiver, ast.Attribute):
+        return receiver.attr in SIM_RECEIVERS
+    return isinstance(receiver, ast.Name) and receiver.id in SIM_RECEIVERS
+
+
 @dataclass
 class RawHotFinding:
     """One hot-path hygiene violation, before waiver filtering."""
@@ -312,20 +349,32 @@ class HotPathAnalysis(OwnershipAnalysis):
         at the call site, and constructor edges would drag the whole
         session-setup plane (built once per session, not per packet)
         into the hot set.
+
+        Nor is a generator handed to ``sim.process(...)``: calling it
+        only builds the generator, and its body runs later as a process
+        of its own (a handshake spawned by a dispatch handler is
+        control plane).  Per-packet processes are seeded by name.
         """
         edges: Dict[int, Set[int]] = {}
         for fn in self.functions:
             if fn.qualname == "<module>":
                 continue
             out: Set[int] = set()
+            spawned: Set[int] = set()
 
             def connect(targets) -> None:
                 for target in targets:
                     if target.bare not in ("__init__", "__new__"):
                         out.add(id(target))
 
+            # ast.walk is breadth-first: a spawn call is visited before
+            # the generator call among its arguments
             for node in ast.walk(fn.node):
                 if isinstance(node, ast.Call):
+                    if id(node) in spawned:
+                        continue
+                    if _is_process_spawn(node):
+                        spawned.update(id(arg) for arg in node.args if isinstance(arg, ast.Call))
                     connect(self.resolve_call(fn.module, node))
                     for arg in list(node.args) + [kw.value for kw in node.keywords]:
                         if isinstance(arg, (ast.Lambda, ast.Name, ast.Attribute)):

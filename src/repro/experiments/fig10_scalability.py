@@ -143,7 +143,7 @@ class _StandaloneClickBox:
     def _worker(self):
         while True:
             packet = yield self._queue.get()
-            yield from self.host.execute(standalone_click_cost(self.model, len(packet)))
+            yield self.host.run(standalone_click_cost(self.model, len(packet)))
             forwarded = packet.copy(dst=self.sink_addr)
             self.host.stack.send_packet(forwarded)
 

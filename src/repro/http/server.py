@@ -78,7 +78,7 @@ class HttpServer:
                     break
                 response = self._respond(request)
                 if self.charge_cpu:
-                    yield from self.host.execute(
+                    yield self.host.run(
                         self.model.http_server_service
                         + len(response) * self.model.http_server_per_byte
                     )

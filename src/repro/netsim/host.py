@@ -66,9 +66,9 @@ class Host:
         self.stack.add_interface(tun, network)
         return tun
 
-    def execute(self, seconds: float):
-        """Process generator: consume scaled CPU time on this host."""
-        return self.cpu.execute(seconds * self.cpu_scale)
+    def run(self, seconds: float):
+        """Occupy a core for scaled CPU time; returns the completion event."""
+        return self.cpu.run(seconds * self.cpu_scale)
 
     @property
     def address(self) -> IPv4Address:

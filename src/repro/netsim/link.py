@@ -4,13 +4,21 @@ Each direction serialises one frame at a time (transmission delay =
 frame bits / bandwidth) and then applies propagation latency.  Frames are
 queued FIFO per direction with a bounded queue; overflow drops the frame,
 which is how the simulator expresses congestion loss.
+
+A direction is a :class:`LinkDirection`: a FIFO of waiting frames plus a
+busy flag, driven by plain scheduled callbacks (one departure entry per
+frame, one arrival entry per delivered frame) rather than a pump
+process.  Partition, random loss and propagation latency are decided at
+departure, when the frame leaves the wire.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from collections import deque
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.sim import FifoStore, Simulator
+from repro.sim import Simulator
 from repro.telemetry.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -32,6 +40,62 @@ def _loss_rng_for(name: str):
 ETHERNET_OVERHEAD = 18
 
 DEFAULT_MTU = 9000  # the paper configures jumbo frames (MTU 9000)
+
+
+class LinkDirection:
+    """One direction of a link: a FIFO of frames serialised one at a time.
+
+    ``enqueue`` starts serialising at once when the direction is idle and
+    queues the frame otherwise.  When a frame has been serialised
+    (``len + ETHERNET_OVERHEAD`` bytes at the owner's ``bandwidth_bps``)
+    ``on_departure(frame)`` runs, and the next waiting frame starts
+    through a zero-delay entry, so a frame transmitted at the instant of
+    a departure queues behind the ones already waiting.  ``waiting``
+    holds the queued frames only, never the one on the wire.
+
+    The direction starts busy until a zero-delay entry scheduled at
+    construction settles it, so a frame enqueued before the simulator
+    first runs starts serialising only after that entry; this keeps
+    setup-time frames in the heap order the pinned digests were
+    recorded with.
+    """
+
+    __slots__ = ("sim", "owner", "on_departure", "waiting", "busy", "_frame")
+
+    def __init__(self, sim: Simulator, owner, on_departure: Callable[[bytes], None]) -> None:
+        self.sim = sim
+        #: the link whose ``bandwidth_bps`` paces this direction
+        self.owner = owner
+        self.on_departure = on_departure
+        self.waiting: deque = deque()
+        self.busy = True
+        self._frame: Optional[bytes] = None
+        sim.schedule(0.0, self._next)
+
+    def enqueue(self, frame: bytes) -> None:
+        """Serialise ``frame`` now when idle, else queue it."""
+        if self.busy:
+            self.waiting.append(frame)
+            return
+        self.busy = True
+        self._frame = frame
+        self._serialise()
+
+    def _serialise(self) -> None:
+        wire_bytes = len(self._frame) + ETHERNET_OVERHEAD
+        self.sim.schedule(wire_bytes * 8 / self.owner.bandwidth_bps, self._depart)
+
+    def _depart(self) -> None:
+        self.on_departure(self._frame)
+        self._next()
+
+    def _next(self) -> None:
+        if self.waiting:
+            self._frame = self.waiting.popleft()
+            self.sim.schedule(0.0, self._serialise)
+        else:
+            self._frame = None
+            self.busy = False
 
 
 class Link:
@@ -57,14 +121,14 @@ class Link:
         #: deterministic per-link RNG so lossy runs stay reproducible
         self.loss_rate = loss_rate
         #: administrative partition (failure injection): while down, every
-        #: frame reaching the head of the queue is lost
+        #: frame departing (finishing serialisation) is lost
         self.down = False
         self._loss_rng = None
         if loss_rate:
             self._loss_rng = _loss_rng_for(name)
         self.endpoint_a: Optional["Interface"] = None
         self.endpoint_b: Optional["Interface"] = None
-        self._queues = {}
+        self._directions = {}
         self.frames_sent = 0
         self.frames_dropped = 0
         self.frames_lost = 0
@@ -105,36 +169,33 @@ class Link:
             self.endpoint_a = interface
         elif self.endpoint_b is None:
             self.endpoint_b = interface
-            self._start_pumps()
+            self._start_directions()
         else:
             raise RuntimeError(f"{self.name}: link already has two endpoints")
         interface.link = self
 
-    def _start_pumps(self) -> None:
+    def _start_directions(self) -> None:
         for sender, receiver in (
             (self.endpoint_a, self.endpoint_b),
             (self.endpoint_b, self.endpoint_a),
         ):
-            queue = FifoStore(self.sim, name=f"{self.name}.q")
-            self._queues[id(sender)] = queue
-            self.sim.process(self._pump(queue, receiver), name=f"{self.name}.pump")
+            self._directions[id(sender)] = LinkDirection(
+                self.sim, self, partial(self._depart, receiver)
+            )
 
-    def _pump(self, queue: FifoStore, receiver: "Interface"):
-        while True:
-            frame = yield queue.get()
-            wire_bytes = len(frame) + ETHERNET_OVERHEAD
-            yield self.sim.timeout(wire_bytes * 8 / self.bandwidth_bps)
-            if self.down:
-                self.frames_lost += 1
-                self._tm_lost.inc()
-                continue
-            if self._loss_rng is not None and self._loss_rng.random() < self.loss_rate:
-                self.frames_lost += 1
-                self._tm_lost.inc()
-                continue
-            self.sim.schedule(self.latency_s, lambda f=frame: receiver.deliver(f))
-            self.bytes_delivered += len(frame)
-            self._tm_bytes.inc(len(frame))
+    def _depart(self, receiver: "Interface", frame: bytes) -> None:
+        """A frame left the wire: partition and loss, then arrival."""
+        if self.down:
+            self.frames_lost += 1
+            self._tm_lost.inc()
+            return
+        if self._loss_rng is not None and self._loss_rng.random() < self.loss_rate:
+            self.frames_lost += 1
+            self._tm_lost.inc()
+            return
+        self.sim.schedule(self.latency_s, partial(receiver.deliver, frame))
+        self.bytes_delivered += len(frame)
+        self._tm_bytes.inc(len(frame))
 
     def transmit(self, sender: "Interface", frame: bytes) -> bool:
         """Enqueue ``frame`` for transmission from ``sender``'s side.
@@ -148,14 +209,15 @@ class Link:
             self.frames_dropped += 1
             self._tm_dropped.inc()
             return False
-        queue = self._queues[id(sender)]
-        if len(queue) >= self.queue_frames:
+        direction = self._directions[id(sender)]
+        waiting = len(direction.waiting)
+        if waiting >= self.queue_frames:
             self.frames_dropped += 1
             self._tm_dropped.inc()
             return False
         self.frames_sent += 1
         self._tm_sent.inc()
         if self._tm_occupancy is not None:
-            self._tm_occupancy.observe(len(queue))
-        queue.put(frame)
+            self._tm_occupancy.observe(waiting)
+        direction.enqueue(frame)
         return True

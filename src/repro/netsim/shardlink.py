@@ -7,10 +7,11 @@ link at the propagation boundary:
 
 * :class:`CrossShardEgressLink` — the *sender* half.  It duck-types
   ``Link`` for a local :class:`~repro.netsim.interface.Interface`
-  (``attach``/``transmit``), reproduces the serialisation model exactly
-  (per-frame transmission delay, Ethernet overhead, MTU + encapsulation
-  headroom, bounded FIFO with drop-on-overflow, the same
-  ``netsim.link.*`` counters) and then, where a local link would
+  (``attach``/``transmit``), serialises through the same
+  :class:`~repro.netsim.link.LinkDirection` departure FIFO as a local
+  link (per-frame transmission delay, Ethernet overhead, bounded FIFO
+  with drop-on-overflow), applies the same MTU + encapsulation headroom
+  and ``netsim.link.*`` counters, and then, where a local link would
   schedule delivery, emits the frame onto a cross-shard channel with
   ``deliver_at = now + latency``.
 * :class:`CrossShardIngressPort` — the *receiver* half.  It binds the
@@ -28,8 +29,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.netsim.link import ETHERNET_OVERHEAD, DEFAULT_MTU
-from repro.sim import FifoStore, Simulator
+from repro.netsim.link import DEFAULT_MTU, LinkDirection
+from repro.sim import Simulator
 from repro.telemetry.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -65,7 +66,7 @@ class CrossShardEgressLink:
         self.channel = channel
         self._egress = fabric.open_egress(channel, dest_shard, batched=False)
         self.endpoint: "Interface | None" = None
-        self._queue: FifoStore | None = None
+        self._direction: LinkDirection | None = None
         self.frames_sent = 0
         self.frames_dropped = 0
         self.bytes_delivered = 0
@@ -80,40 +81,38 @@ class CrossShardEgressLink:
         )
 
     def attach(self, interface: "Interface") -> None:
-        """Attach the (single) local endpoint and start the pump."""
+        """Attach the (single) local endpoint and open its direction."""
         if self.endpoint is not None:
             raise RuntimeError(f"{self.name}: egress link already has its endpoint")
         self.endpoint = interface
         interface.link = self
-        self._queue = FifoStore(self.sim, name=f"{self.name}.q")
-        self.sim.process(self._pump(self._queue), name=f"{self.name}.pump")
+        self._direction = LinkDirection(self.sim, self, self._depart)
 
-    def _pump(self, queue: FifoStore):
-        while True:
-            frame = yield queue.get()
-            wire_bytes = len(frame) + ETHERNET_OVERHEAD
-            yield self.sim.timeout(wire_bytes * 8 / self.bandwidth_bps)
-            self._egress.emit(self.sim.now + self.latency_s, bytes(frame))
-            self.bytes_delivered += len(frame)
-            self._tm_bytes.inc(len(frame))
+    def _depart(self, frame: bytes) -> None:
+        """A frame left the wire: hand it to the channel, due after latency."""
+        self._egress.emit(self.sim.now + self.latency_s, frame)
+        self.bytes_delivered += len(frame)
+        self._tm_bytes.inc(len(frame))
 
     def transmit(self, sender: "Interface", frame: bytes) -> bool:
         """Same checks, same drops, same counters as ``Link.transmit``."""
-        if self._queue is None:
+        direction = self._direction
+        if direction is None:
             raise RuntimeError(f"{self.name}: egress link is not attached")
         if len(frame) > self.mtu + 60:  # headroom for encapsulation headers
             self.frames_dropped += 1
             self._tm_dropped.inc()
             return False
-        if len(self._queue) >= self.queue_frames:
+        waiting = len(direction.waiting)
+        if waiting >= self.queue_frames:
             self.frames_dropped += 1
             self._tm_dropped.inc()
             return False
         self.frames_sent += 1
         self._tm_sent.inc()
         if self._tm_occupancy is not None:
-            self._tm_occupancy.observe(len(self._queue))
-        self._queue.put(frame)
+            self._tm_occupancy.observe(waiting)
+        direction.enqueue(frame)
         return True
 
 

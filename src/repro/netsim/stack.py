@@ -49,13 +49,18 @@ class StackError(RuntimeError):
 
 
 class UdpSocket:
-    """A blocking-receive UDP socket bound to (address, port)."""
+    """A UDP socket bound to (address, port).
+
+    Datagrams are either read with the blocking :meth:`recv` or, after
+    :meth:`listen`, handed to a callback on delivery.
+    """
 
     def __init__(self, stack: "NetworkStack", address: IPv4Address, port: int) -> None:
         self.stack = stack
         self.address = address
         self.port = port
         self._inbox = FifoStore(stack.sim, name=f"udp:{port}.inbox")
+        self._handler: Optional[Callable[[bytes, IPv4Address, int, IPv4Packet], None]] = None
         self.closed = False
 
     def sendto(self, payload: bytes, dst: IPv4Address, dst_port: int, tos: int = 0) -> bool:
@@ -75,6 +80,15 @@ class UdpSocket:
         """Event yielding ``(payload, src_addr, src_port, packet)``."""
         return self._inbox.get()
 
+    def listen(self, handler: Callable[[bytes, IPv4Address, int, IPv4Packet], None]) -> None:
+        """Call ``handler(payload, src_addr, src_port, packet)`` on every
+        later delivery, in place of queueing it for :meth:`recv`.
+
+        The handler runs inline, at delivery time, exactly where a
+        process parked in ``recv()`` would have been resumed.
+        """
+        self._handler = handler
+
     def pending(self) -> int:
         """Number of queued items."""
         return len(self._inbox)
@@ -85,7 +99,11 @@ class UdpSocket:
         self.stack._unbind_udp(self)
 
     def _deliver(self, packet: IPv4Packet, datagram: UdpDatagram) -> None:
-        if not self.closed:
+        if self.closed:
+            return
+        if self._handler is not None:
+            self._handler(datagram.payload, packet.src, datagram.src_port, packet)
+        else:
             self._inbox.put((datagram.payload, packet.src, datagram.src_port, packet))
 
 

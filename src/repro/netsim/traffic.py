@@ -50,23 +50,30 @@ class UdpTrafficSource:
         self.packets_sent = 0
         self.bytes_sent = 0
         self._stopped = False
+        self._sock = None
+        self._interval = 0.0
 
     def start(self) -> None:
-        """Start the component's simulation processes."""
-        self.sim.process(self._run(), name=f"{self.host.name}.iperf-src")
+        """Start sending (first datagram at the current time)."""
+        self.sim.schedule(0.0, self._first_tick)
 
     def stop(self) -> None:
         """Stop the component."""
         self._stopped = True
 
-    def _run(self):
-        sock = self.host.stack.udp_socket()
-        interval = self.packet_bytes * 8 / self.rate_bps
-        while not self._stopped:
-            sock.sendto(self.payload, self.dst, self.dst_port, tos=self.tos)
-            self.packets_sent += 1
-            self.bytes_sent += self.packet_bytes
-            yield self.sim.timeout(interval)
+    def _first_tick(self) -> None:
+        self._sock = self.host.stack.udp_socket()
+        self._interval = self.packet_bytes * 8 / self.rate_bps
+        self._tick()
+
+    def _tick(self) -> None:
+        """Send one datagram and schedule the next, until stopped."""
+        if self._stopped:
+            return
+        self._sock.sendto(self.payload, self.dst, self.dst_port, tos=self.tos)
+        self.packets_sent += 1
+        self.bytes_sent += self.packet_bytes
+        self.sim.schedule(self._interval, self._tick)
 
 
 class UdpSink:

@@ -2,14 +2,15 @@
 
 A TUN device looks like a routed interface to the stack: packets routed to
 the VPN subnet land in its outbound queue, where the user-space VPN
-process reads them (``read()``).  Packets the VPN decapsulates are written
+process reads them (``read()``), or go straight to the handler it
+installed with ``listen()``.  Packets the VPN decapsulates are written
 back (``write()``) and re-enter the stack as if received from the wire —
 exactly the Linux ``/dev/net/tun`` contract.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.netsim.addresses import IPv4Address
 from repro.netsim.interface import Interface
@@ -38,6 +39,7 @@ class TunDevice(Interface):
         self.sim = sim
         self.mtu = TUN_MTU
         self._outbound = FifoStore(sim, name=f"{name}.out")
+        self._handler: Optional[Callable[[IPv4Packet], None]] = None
         self.queue_packets = queue_packets
         self.stack: Optional["NetworkStack"] = None
         self.packets_dropped = 0
@@ -54,6 +56,9 @@ class TunDevice(Interface):
         if len(packet) > self.mtu:
             self.packets_dropped += 1
             return False
+        if self._handler is not None:
+            self._handler(packet)
+            return True
         if len(self._outbound) >= self.queue_packets:
             self.packets_dropped += 1
             return False
@@ -66,6 +71,15 @@ class TunDevice(Interface):
     def read(self):
         """Event yielding the next outbound :class:`IPv4Packet`."""
         return self._outbound.get()
+
+    def listen(self, handler: Callable[[IPv4Packet], None]) -> None:
+        """Call ``handler(packet)`` on every later outbound packet, in
+        place of queueing it for :meth:`read`.
+
+        The handler runs inline, where a process parked in ``read()``
+        would have been resumed.
+        """
+        self._handler = handler
 
     def try_read(self) -> Optional[IPv4Packet]:
         """Non-blocking read; returns None when empty."""

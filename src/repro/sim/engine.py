@@ -2,9 +2,20 @@
 
 The design follows the classic process-interaction style (as popularised by
 SimPy) but is trimmed to exactly what the EndBox reproduction needs, which
-keeps the hot path fast: a binary heap of ``(time, seq, event)`` entries and
-generator-based processes that are resumed when the event they wait on
-fires.
+keeps the hot path fast: a binary heap of ``(time, seq, kind, payload)``
+entries and generator-based processes that are resumed when the event they
+wait on fires.
+
+Two styles share the heap:
+
+* **Callbacks** (kind 0, :meth:`Simulator.schedule`) carry the per-packet
+  path: link departures and arrivals (``repro.netsim.link``), CPU
+  completions (``CpuCores.run``), switch forwarding, traffic-source ticks,
+  and the VPN socket/TUN dispatch handlers, which devices call inline on
+  delivery.  A callback costs one heap entry and no ``Event``.
+* **Generator processes** carry whatever waits on more than its own
+  input: the VPN session and client workers (inbox, then CPU),
+  handshakes, connect, ping and DPD loops, TCP and HTTP.
 
 Determinism
 -----------
@@ -84,6 +95,13 @@ class Event:
         else:
             self._callbacks = [current, callback]
 
+    def abandon(self) -> None:
+        """Hook: the process waiting on this event was interrupted.
+
+        Plain events ignore it; :class:`~repro.sim.resources.CpuWork`
+        frees the core the interrupted process held.
+        """
+
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully, delivering ``value``."""
         if self.triggered:
@@ -151,7 +169,13 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current time."""
         if self.triggered:
             return
-        self.sim.schedule(0.0, lambda: self._resume(None, Interrupt(cause)))
+        self.sim.schedule(0.0, lambda: self._interrupted(cause))
+
+    def _interrupted(self, cause: Any) -> None:
+        waiting = self._waiting_on
+        if waiting is not None and not self.triggered:
+            waiting.abandon()
+        self._resume(None, Interrupt(cause))
 
     def _on_wait_complete(self, event: Event) -> None:
         if self._waiting_on is not event:

@@ -1,4 +1,4 @@
-"""Shared resources: generic counting resource, CPU cores, FIFO stores.
+"""Shared resources: CPU cores and FIFO stores.
 
 The CPU model is the part that matters for reproducing the paper's
 throughput and scalability results: every host has a fixed number of
@@ -17,54 +17,56 @@ from typing import Any, Deque, Generator, Optional
 from repro.sim.engine import Event, SimulationError, Simulator
 
 
-class Resource:
-    """Counting resource with FIFO grant order.
+class CpuWork(Event):
+    """Completion event of one :meth:`CpuCores.run` charge.
 
-    ``request()`` returns an event that fires when a slot is granted;
-    ``release()`` frees a slot.  Prefer the :meth:`acquire` generator for
-    use inside processes.
+    Fires once the work has held a core for its charged time.  A process
+    interrupted while waiting on it abandons the work: a running charge
+    frees its core at once and is not billed, a queued one leaves the
+    queue.
     """
 
-    def __init__(self, sim: Simulator, capacity: int, name: str = "resource") -> None:
-        if capacity < 1:
-            raise SimulationError("resource capacity must be >= 1")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self.in_use = 0
-        self._waiters: Deque[Event] = deque()
+    __slots__ = ("pool", "charged", "running")
 
-    def request(self) -> Event:
-        """Request a slot; returns an event that fires when granted."""
-        event = self.sim.event(self.name)
-        if self.in_use < self.capacity:
-            self.in_use += 1
-            event.succeed(self)
-        else:
-            self._waiters.append(event)
-        return event
+    def __init__(self, pool: "CpuCores", charged: float) -> None:
+        super().__init__(pool.sim)
+        self.pool = pool
+        self.charged = charged
+        self.running = False
 
-    def release(self) -> None:
-        """Release a previously granted slot."""
-        if self._waiters:
-            self._waiters.popleft().succeed(self)
-        else:
-            if self.in_use <= 0:
-                raise SimulationError(f"{self.name}: release without request")
-            self.in_use -= 1
+    def _complete(self) -> None:
+        # accounting, then the next waiter's start, then the caller's
+        # resume: the waiter's completion is scheduled before anything
+        # the resumed caller schedules at the same instant
+        if not self.running:
+            return  # abandoned while it ran
+        self.running = False
+        pool = self.pool
+        pool.busy_time += self.charged
+        pool._window_busy += self.charged
+        pool._release()
+        self.succeed()
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
+    def abandon(self) -> None:
+        """Give the work up: free its core now, or leave the queue."""
+        if self.running:
+            self.running = False
+            self.pool._release()
+        elif not self.triggered:
+            try:
+                self.pool._waiters.remove(self)
+            except ValueError:
+                pass
 
 
 class CpuCores:
-    """A pool of CPU cores with utilisation accounting.
+    """A FIFO pool of CPU cores with utilisation accounting.
 
-    Work is submitted as a *duration* of core time; the :meth:`execute`
-    generator blocks the calling process until a core is free and the work
-    has run.  Total busy time is tracked so experiments can report CPU
-    usage exactly as the paper does (100 % = all cores busy).
+    Work is submitted as a *duration* of core time: :meth:`run` returns
+    a :class:`CpuWork` event that fires when a core was free (at once,
+    or in FIFO order behind earlier work) and the work has run.  Total
+    busy time is tracked so experiments can report CPU usage exactly as
+    the paper does (100 % = all cores busy).
 
     Parameters
     ----------
@@ -93,32 +95,50 @@ class CpuCores:
         self.ht_factor = ht_factor
         self.name = name
         self.context_switch_cost = context_switch_cost
-        effective = max(1, round(cores * ht_factor))
-        self._resource = Resource(sim, effective, name=f"{name}.cores")
-        self.effective_cores = effective
+        self.effective_cores = max(1, round(cores * ht_factor))
+        #: cores currently held by running work
+        self.in_use = 0
+        self._waiters: Deque[CpuWork] = deque()
         self.busy_time = 0.0
         self._window_start = 0.0
         self._window_busy = 0.0
 
     # ------------------------------------------------------------------
-    def execute(self, duration: float) -> Generator:
-        """Process generator: occupy one core for ``duration`` seconds."""
+    def run(self, duration: float) -> CpuWork:
+        """Occupy one core for ``duration`` seconds; returns the completion event.
+
+        A free core is granted at once.  The context-switch cost is added
+        when the pool is oversubscribed at submission time.
+        """
         if duration < 0:
             raise SimulationError(f"negative CPU duration {duration!r}")
-        oversubscribed = (
-            self._resource.in_use + self._resource.queue_length >= self.effective_cores
-        )
-        yield self._resource.request()
-        try:
-            charged = duration
-            if oversubscribed and self.context_switch_cost:
-                charged += self.context_switch_cost
-            if charged > 0:
-                yield self.sim.timeout(charged)
-            self.busy_time += charged
-            self._window_busy += charged
-        finally:
-            self._resource.release()
+        charged = duration
+        if self.context_switch_cost and self.in_use + len(self._waiters) >= self.effective_cores:
+            charged += self.context_switch_cost
+        work = CpuWork(self, charged)  # endbox-lint: hotpath(HP702) the completion event is the scheduler's unit of work, as Event is in the engine
+        if self.in_use < self.effective_cores:
+            self.in_use += 1
+            work.running = True
+            self.sim.schedule(charged, work._complete)
+        else:
+            self._waiters.append(work)
+        return work
+
+    def execute(self, duration: float) -> Generator:
+        """Process generator: occupy one core for ``duration`` seconds."""
+        yield self.run(duration)
+
+    def _release(self) -> None:
+        """Hand a finished core to the next waiter, or free it."""
+        if not self._waiters:
+            self.in_use -= 1
+            return
+        work = self._waiters.popleft()
+        work.running = True
+        if work.charged > 0:
+            self.sim.schedule(work.charged, work._complete)
+        else:
+            work._complete()
 
     # ------------------------------------------------------------------
     # utilisation reporting
@@ -140,7 +160,7 @@ class CpuCores:
 
     @property
     def runnable(self) -> int:
-        return self._resource.in_use + self._resource.queue_length
+        return self.in_use + len(self._waiters)
 
 
 #: Convenience alias used throughout the code base.

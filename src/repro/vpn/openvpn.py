@@ -13,7 +13,9 @@ server process per client*.  Each client has one worker process doing
 all per-packet work, and the server has one worker per session; workers
 charge calibrated CPU costs (``repro.vpn.costing``) against their host's
 core pool, which is how throughput saturation, CPU-usage curves and
-multi-process contention emerge.
+multi-process contention emerge.  The socket and TUN dispatch steps in
+front of the workers are handlers the devices call inline on delivery
+(``UdpSocket.listen`` / ``TunDevice.listen``); they only demultiplex.
 
 Subclass hooks (used by EndBox in :mod:`repro.core`):
 
@@ -214,13 +216,13 @@ class OpenVpnServer:
                 self.server_tunnel_ip, self.tunnel_network, name=f"{self.host.name}.tun0"
             )
         self.sock = self.host.stack.udp_socket(self.port)
-        self.sim.process(self._rx_dispatch(), name="vpn-server-rx")
-        self.sim.process(self._tx_dispatch(), name="vpn-server-tx")
+        self.sock.listen(self._rx_dispatch)
+        self.tun.listen(self._tx_dispatch)
         self.sim.process(self._ping_loop(), name="vpn-server-ping")
 
     def _charge(self, seconds: float):
         if self.charge_cpu and seconds > 0:
-            yield from self.host.execute(seconds)
+            yield self.host.run(seconds)
 
     # ------------------------------------------------------------------
     # admission & policy hooks
@@ -359,37 +361,34 @@ class OpenVpnServer:
         self._resumed_sessions[str(record["subject"])] = dict(record)
 
     # ------------------------------------------------------------------
-    # dispatch loops (cheap demux; CPU work happens in session workers)
+    # dispatch handlers (cheap demux; CPU work happens in session workers),
+    # called inline by the socket and the TUN device on delivery
     # ------------------------------------------------------------------
-    def _rx_dispatch(self):
-        while True:
-            payload, src, src_port, _ = yield self.sock.recv()
-            if self.down:
-                self.packets_dropped_down += 1
-                continue
-            try:
-                packet = VpnPacket.parse(payload)
-            except ProtocolError:
-                continue
-            if packet.opcode == OP_CONTROL_HELLO:
-                self.sim.process(self._handle_hello(packet, src, src_port))
-                continue
-            session = self.sessions_by_peer.get((src, src_port))
-            if session is None:
-                self.packets_rejected += 1
-                continue
-            session.inbox.put(("rx", packet))
+    def _rx_dispatch(self, payload: bytes, src: IPv4Address, src_port: int, _packet) -> None:
+        if self.down:
+            self.packets_dropped_down += 1
+            return
+        try:
+            packet = VpnPacket.parse(payload)
+        except ProtocolError:
+            return
+        if packet.opcode == OP_CONTROL_HELLO:
+            self.sim.process(self._handle_hello(packet, src, src_port))
+            return
+        session = self.sessions_by_peer.get((src, src_port))
+        if session is None:
+            self.packets_rejected += 1
+            return
+        session.inbox.put(("rx", packet))
 
-    def _tx_dispatch(self):
-        while True:
-            inner = yield self.tun.read()
-            if self.down:
-                self.packets_dropped_down += 1
-                continue
-            session = self.sessions_by_tunnel_ip.get(inner.dst)
-            if session is None or not session.established:
-                continue
-            session.inbox.put(("tx", inner))
+    def _tx_dispatch(self, inner: IPv4Packet) -> None:
+        if self.down:
+            self.packets_dropped_down += 1
+            return
+        session = self.sessions_by_tunnel_ip.get(inner.dst)
+        if session is None or not session.established:
+            return
+        session.inbox.put(("tx", inner))
 
     def _ping_loop(self):
         while True:
@@ -694,7 +693,7 @@ class OpenVpnClient:
             raise VpnError("client already started")
         self._started = True
         self.sock = self.host.stack.udp_socket()
-        self.sim.process(self._rx_dispatch(), name=f"{self.host.name}.vpn-rx")
+        self.sock.listen(self._rx_dispatch)
         self.sim.process(self._connect_loop(), name=f"{self.host.name}.vpn-connect")
 
     def wait_connected(self):
@@ -703,25 +702,23 @@ class OpenVpnClient:
 
     def _charge(self, seconds: float):
         if self.charge_cpu and seconds > 0:
-            yield from self.host.execute(seconds)
+            yield self.host.run(seconds)
 
     # ------------------------------------------------------------------
-    # dispatch: one recv loop feeding control + worker queues
+    # dispatch: one socket handler feeding control + worker queues
     # ------------------------------------------------------------------
-    def _rx_dispatch(self):
-        while True:
-            payload, _src, _port, _ = yield self.sock.recv()
-            if self.suspended:
-                continue
-            try:
-                packet = VpnPacket.parse(payload)
-            except ProtocolError:
-                continue
-            self.last_server_rx = self.sim.now
-            if packet.opcode in (OP_CONTROL_REPLY, OP_REJECT, OP_SESSION_CONFIG):
-                self._control_inbox.put(packet)
-            elif packet.opcode in (OP_DATA, OP_PING):
-                self._work_inbox.put(("rx", packet, self.channel_epoch))
+    def _rx_dispatch(self, payload: bytes, _src, _port, _packet) -> None:
+        if self.suspended:
+            return
+        try:
+            packet = VpnPacket.parse(payload)
+        except ProtocolError:
+            return
+        self.last_server_rx = self.sim.now
+        if packet.opcode in (OP_CONTROL_REPLY, OP_REJECT, OP_SESSION_CONFIG):
+            self._control_inbox.put(packet)
+        elif packet.opcode in (OP_DATA, OP_PING):
+            self._work_inbox.put(("rx", packet, self.channel_epoch))
 
     def _await_control(self, opcodes, timeout: float):
         """Event-driven wait for a control packet, raced against a timeout.
@@ -830,7 +827,7 @@ class OpenVpnClient:
         self.host.stack.set_preferred_source(self.tunnel_ip)
         self.on_connected(settings)
         self.last_server_rx = self.sim.now
-        self.sim.process(self._tun_dispatch(), name=f"{self.host.name}.vpn-tun")
+        self.tun.listen(self._tun_dispatch)
         self.sim.process(self._worker(), name=f"{self.host.name}.vpn-worker")
         self.sim.process(self._ping_loop(), name=f"{self.host.name}.vpn-ping")
         self.sim.process(self._dpd_loop(), name=f"{self.host.name}.vpn-dpd")
@@ -922,7 +919,7 @@ class OpenVpnClient:
         self.sock = self.host.stack.udp_socket(
             address=self.host.stack.source_address_for(self.server_addr)
         )
-        self.sim.process(self._rx_dispatch(), name=f"{self.host.name}.vpn-rx")
+        self.sock.listen(self._rx_dispatch)
         if rehandshake:
             self.last_server_rx = self.sim.now - 2.0 * self.dpd_timeout
 
@@ -982,12 +979,10 @@ class OpenVpnClient:
     # ------------------------------------------------------------------
     # data paths (single worker = single-threaded OpenVPN)
     # ------------------------------------------------------------------
-    def _tun_dispatch(self):
-        while True:
-            inner = yield self.tun.read()
-            if self.suspended:
-                continue
-            self._work_inbox.put(("tx", inner, self.channel_epoch))
+    def _tun_dispatch(self, inner: IPv4Packet) -> None:
+        if self.suspended:
+            return
+        self._work_inbox.put(("tx", inner, self.channel_epoch))
 
     def _worker(self):
         """Drain the work queue in bursts of same-kind items.

@@ -174,6 +174,59 @@ class Router:
     assert hp_rules(source, "repro.click.router") == []
 
 
+def test_generator_spawned_as_a_process_is_not_a_call_edge():
+    source = '''
+class Router:
+    def process(self, payload):
+        if payload[0] == 1:
+            self.sim.process(self._handshake(payload))
+            return None
+        return self._inline(payload)
+
+    def _handshake(self, payload):
+        yield self.sim.timeout(1.0)
+        self.hello = payload[4:]
+
+    def _inline(self, payload):
+        return payload[4:]
+'''
+    # the spawned generator runs later as its own process (control
+    # plane); the plain call is still followed
+    findings = hp_findings(source, "repro.click.router")
+    assert [(f.rule, f.symbol) for f in findings] == [("HP701", "Router._inline")]
+
+
+def test_closures_under_a_branch_are_functions_of_their_enclosing_def():
+    source = '''
+def _make_edge(fast):
+    if fast:
+        def edge(payload):
+            return payload[4:]
+    else:
+        def edge(payload):
+            return payload[8:]
+    return edge
+'''
+    # both branch closures are the seed _make_edge.edge and both are hot
+    findings = hp_findings(source, "repro.click.compiler")
+    assert [(f.rule, f.symbol) for f in findings] == [
+        ("HP701", "_make_edge.edge"),
+        ("HP701", "_make_edge.edge"),
+    ]
+
+
+def test_every_hot_seed_resolves_to_a_function_in_the_tree():
+    # a seed naming a deleted or renamed function would silently drop
+    # its whole subtree from hot-path coverage
+    from repro.analysis.engine import Analyzer
+    from repro.analysis.hotgraph import HOT_SEEDS, HotPathAnalysis
+
+    modules = [Analyzer.load_module(path) for path in Analyzer.collect_files([SRC])]
+    defined = {(fn.module.module, fn.qualname) for fn in HotPathAnalysis(modules).functions}
+    missing = sorted(seed for seed in HOT_SEEDS if seed not in defined)
+    assert not missing, f"HOT_SEEDS entries that resolve to nothing: {missing}"
+
+
 # ----------------------------------------------------------------------
 # waivers
 # ----------------------------------------------------------------------

@@ -1,49 +1,42 @@
-"""Unit tests for resources: counting resource, CPU cores, FIFO store."""
+"""Unit tests for resources: the CPU core pool and the FIFO store."""
 
 import pytest
 
-from repro.sim import CpuCores, FifoStore, Resource, Simulator, SimulationError
+from repro.sim import CpuCores, FifoStore, Simulator, SimulationError
 
 
-def test_resource_grants_up_to_capacity_immediately():
+def test_cpu_run_grants_up_to_capacity_immediately():
     sim = Simulator()
-    res = Resource(sim, capacity=2)
-    grants = []
+    cpu = CpuCores(sim, cores=2, ht_factor=1.0)
+    done = []
 
     def worker(name):
-        yield res.request()
-        grants.append((sim.now, name))
-        yield sim.timeout(1.0)
-        res.release()
+        yield cpu.run(1.0)
+        done.append((sim.now, name))
 
     for name in "abc":
         sim.process(worker(name))
+    sim.run(until=0.0)
+    # two cores: a and b hold one each at once, c waits for a core
+    assert cpu.in_use == 2 and cpu.runnable == 3
     sim.run()
-    assert grants == [(0.0, "a"), (0.0, "b"), (1.0, "c")]
+    assert done == [(1.0, "a"), (1.0, "b"), (2.0, "c")]
 
 
-def test_resource_release_without_request_raises():
+def test_cpu_run_grants_in_fifo_order():
     sim = Simulator()
-    res = Resource(sim, capacity=1)
-    with pytest.raises(SimulationError):
-        res.release()
-
-
-def test_resource_fifo_ordering():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
+    cpu = CpuCores(sim, cores=1, ht_factor=1.0)
     order = []
 
     def worker(name):
-        yield res.request()
+        yield cpu.run(1.0)
         order.append(name)
-        yield sim.timeout(1.0)
-        res.release()
 
     for name in "abcd":
         sim.process(worker(name))
     sim.run()
     assert order == ["a", "b", "c", "d"]
+    assert cpu.in_use == 0 and cpu.busy_time == 4.0
 
 
 def test_cpu_executes_work_serially_on_one_core():
@@ -202,3 +195,115 @@ def test_seeded_rng_deterministic_and_namespaced():
     seq_c = [c.random() for _ in range(5)]
     assert seq_a == seq_b
     assert seq_a != seq_c
+
+
+# ----------------------------------------------------------------------
+# CPU pool ordering: what the packet path's modeled outcomes rest on
+# ----------------------------------------------------------------------
+def test_cpu_oversubscribed_charge_includes_context_switch_cost():
+    sim = Simulator()
+    cpu = CpuCores(sim, cores=2, ht_factor=1.0, context_switch_cost=0.25)
+    done = {}
+
+    def job(name, duration):
+        yield from cpu.execute(duration)
+        done[name] = sim.now
+
+    # a and b fill the pool; c arrives with two runnable threads on two
+    # cores and pays the switch, d arrives later to a free pool and not
+    sim.process(job("a", 1.0))
+    sim.process(job("b", 2.0))
+    sim.process(job("c", 1.0))
+
+    def late():
+        yield sim.timeout(5.0)
+        yield from job("d", 1.0)
+
+    sim.process(late())
+    sim.run()
+    assert done == {"a": 1.0, "b": 2.0, "c": 2.25, "d": 6.0}
+    assert cpu.busy_time == 1.0 + 2.0 + 1.25 + 1.0
+
+
+def test_cpu_next_waiter_is_scheduled_before_the_finishing_caller_resumes():
+    sim = Simulator()
+    cpu = CpuCores(sim, cores=1, ht_factor=1.0)
+    log = []
+
+    def first():
+        yield from cpu.execute(1.0)
+        # resumes at t=1 and sleeps until t=2, the instant the waiter's
+        # work completes: the waiter's completion was scheduled first
+        yield sim.timeout(1.0)
+        log.append("first-after")
+
+    def waiter():
+        yield from cpu.execute(1.0)
+        log.append("waiter-done")
+
+    sim.process(first())
+    sim.process(waiter())
+    sim.run()
+    assert log == ["waiter-done", "first-after"]
+
+
+def test_cpu_busy_time_sums_in_completion_order():
+    sim = Simulator()
+    cpu = CpuCores(sim, cores=3, ht_factor=1.0)
+
+    def job(duration):
+        yield from cpu.execute(duration)
+
+    # started big-first, completed small-first: float addition is not
+    # associative, so the two orders give different totals
+    for duration in (1e16, 1.0, 1.0):
+        sim.process(job(duration))
+    sim.run()
+    assert cpu.busy_time == (1.0 + 1.0) + 1e16
+    assert cpu.busy_time != (1e16 + 1.0) + 1.0
+
+
+def test_cpu_core_of_an_interrupted_process_frees_at_the_interrupt():
+    # a killed daemon (server restart, session migration) stops using
+    # its core at once: the next waiter starts then, and the killed
+    # work is not billed
+    sim = Simulator()
+    cpu = CpuCores(sim, cores=1, ht_factor=1.0)
+    done = []
+
+    def victim():
+        yield from cpu.execute(10.0)
+        done.append(("victim", sim.now))
+
+    def waiter():
+        yield from cpu.execute(1.0)
+        done.append(("waiter", sim.now))
+
+    proc = sim.process(victim())
+    sim.process(waiter())
+    sim.schedule(1.0, lambda: proc.interrupt("killed"))
+    sim.run()
+    assert done == [("waiter", 2.0)]
+    assert cpu.busy_time == 1.0
+    assert cpu.runnable == 0
+
+
+def test_cpu_queued_work_of_an_interrupted_process_leaves_the_queue():
+    # the core must not be granted to a dead waiter (it used to be, and
+    # then stayed held for the rest of the run)
+    sim = Simulator()
+    cpu = CpuCores(sim, cores=1, ht_factor=1.0)
+    done = []
+
+    def job(name):
+        yield from cpu.execute(1.0)
+        done.append((name, sim.now))
+
+    sim.process(job("a"))
+    victim = sim.process(job("victim"))
+    sim.process(job("c"))
+    sim.schedule(0.5, lambda: victim.interrupt("killed"))
+    sim.run()
+    assert done == [("a", 1.0), ("c", 2.0)]
+    assert cpu.busy_time == 2.0
+    assert cpu.runnable == 0

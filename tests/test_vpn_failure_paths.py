@@ -214,3 +214,47 @@ def test_dead_peer_detection_rehandshakes_after_server_restart():
     resumed = [t for t, _p in received if t > crash_time + 1.0]
     assert resumed, "traffic never resumed after the server restart"
     assert world.server.handshakes_completed >= 2
+
+
+def test_suspended_client_drops_tunnel_input_and_server_keepalives():
+    from tests.test_vpn_integration import VpnWorld
+    from repro.netsim.traffic import UdpSink, UdpTrafficSource
+
+    world = VpnWorld(n_clients=1)
+    world.connect_all()
+    client = world.clients[0]
+    sim = world.sim
+    sink = UdpSink(world.internal, 7001)
+    UdpTrafficSource(client.host, world.internal.address, 7001, rate_bps=1e6, packet_bytes=200).start()
+    sim.run(until=sim.now + 0.5)
+    assert sink.packets > 0
+    client.suspend()
+    sim.run(until=sim.now + 0.01)  # let frames already on the wire land
+    sent, delivered, heard = client.inner_bytes_sent, sink.packets, client.last_server_rx
+    sim.run(until=sim.now + 3.0)  # several server keepalive intervals
+    assert client.inner_bytes_sent == sent
+    assert sink.packets == delivered
+    assert client.last_server_rx == heard
+
+
+def test_resumed_client_receives_on_its_new_socket():
+    from tests.test_vpn_integration import VpnWorld
+    from repro.netsim.traffic import UdpSink, UdpTrafficSource
+
+    world = VpnWorld(n_clients=1)
+    world.connect_all()
+    client = world.clients[0]
+    client.dpd_timeout = 2.0
+    sim = world.sim
+    client.suspend()
+    old_sock = client.sock
+    sim.run(until=sim.now + 1.0)
+    client.resume()
+    assert client.sock is not old_sock and old_sock.closed
+    sim.run(until=sim.now + 3.0)  # the next DPD tick re-handshakes
+    assert client.reconnects == 1
+    assert client.last_server_rx > sim.now - 2.0
+    sink = UdpSink(client.host, 7002)
+    UdpTrafficSource(world.internal, client.tunnel_ip, 7002, rate_bps=1e6, packet_bytes=200).start()
+    sim.run(until=sim.now + 0.5)
+    assert sink.packets > 0
