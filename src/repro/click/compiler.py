@@ -155,11 +155,6 @@ class DispatchPlan:
     def __len__(self) -> int:
         return len(self.edges)
 
-    def describe(self) -> str:
-        """Human-readable dump of the dispatch plan (for debugging)."""
-        header = f"dispatch plan: entry={self.entry or '-'} edges={len(self.edges)}"
-        return "\n".join([header] + [f"  {edge}" for edge in self.edges])
-
     def uninstall(self) -> None:
         """Remove the compiled ``output`` closures, restoring the
         interpreted ``Element.output`` path (used by equivalence tests)."""

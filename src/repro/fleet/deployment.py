@@ -110,10 +110,6 @@ class FleetDeployment(EndBoxDeployment):
         """Number of gateways in the fleet."""
         return len(self.gateways)
 
-    def gateway_for(self, client_index: int) -> OpenVpnServer:
-        """The gateway currently serving ``clients[client_index]``."""
-        return self.gateways[self.assignment[client_index]]
-
     # ------------------------------------------------------------------
     # fleet-wide configuration rollout
     # ------------------------------------------------------------------

@@ -5,6 +5,11 @@ byte-keyed dicts, failure links and output sets merged along them in
 one BFS) and then scans payloads in a single pass, reporting every
 (pattern id, end offset) occurrence.
 
+The matcher is generic and exact: it reports the patterns it was given.
+:class:`~repro.click.elements.idsmatcher.IDSMatcher` feeds it only the
+short fast-pattern prefixes of its rules' contents and verifies every
+candidate rule itself.
+
 A compile allocates one goto dict per trie node and nothing else per
 node: outputs are tuples, and every node without one shares the empty
 tuple, so a rebuild stays cheap for the cyclic garbage collector.
@@ -90,10 +95,6 @@ class AhoCorasick:
         self._output = output
         self._built = True
         self._cache.clear()
-
-    @property
-    def node_count(self) -> int:
-        return len(self._goto)
 
     # ------------------------------------------------------------------
     # scanning

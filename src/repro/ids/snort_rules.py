@@ -17,6 +17,12 @@ Supported form::
 Multiple ``content`` options per rule are supported; a rule matches a
 packet when all its contents occur (in order, honouring the positional
 modifiers), its ``pcre`` matches, and the header constraints hold.
+
+:func:`parse_rules` makes one pass over the lines.  Within a call it
+parses each distinct address and port token once, and every rule that
+names the token shares the resulting frozen :class:`AddressSpec` or
+:class:`PortSpec`; nothing is kept between calls.  :func:`parse_rule`
+runs the same per-rule function with specs of its own.
 """
 
 from __future__ import annotations
@@ -45,9 +51,13 @@ class RuleSyntaxError(ValueError):
     """Malformed Snort rule text."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class AddressSpec:
-    """``any``, a CIDR network, or negation of one."""
+    """``any``, a CIDR network, or negation of one.
+
+    Frozen: every rule of one :func:`parse_rules` call that names the
+    same address token shares one instance.
+    """
 
     network: Optional[IPv4Network] = None  # None means "any"
     negated: bool = False
@@ -60,8 +70,13 @@ class AddressSpec:
         return inside != self.negated
 
 
-@dataclass
+@dataclass(frozen=True)
 class PortSpec:
+    """``any`` (0-65535), one port, or an inclusive ``lo:hi`` range.
+
+    Frozen and shared like :class:`AddressSpec`.
+    """
+
     low: int = 0
     high: int = 65535
 
@@ -180,19 +195,35 @@ class SnortRule:
 
 def _decode_content(text: str) -> bytes:
     """Decode a Snort content string with |hex| escapes."""
+    if "|" not in text:
+        out = text.encode("latin-1")
+        if not out:
+            raise RuleSyntaxError("empty content")
+        return out
+    whole = _HEX_ESCAPE_RE.fullmatch(text)
+    if whole is not None:  # one escape spanning the string: no text runs
+        out = _decode_hex(text, whole)
+        if not out:  # whitespace only, e.g. "| |"
+            raise RuleSyntaxError("empty content")
+        return out
     out = bytearray()
     pos = 0
     for match in _HEX_ESCAPE_RE.finditer(text):
         out.extend(text[pos : match.start()].encode("latin-1"))
-        hex_bytes = match.group(1).replace(" ", "")
-        if len(hex_bytes) % 2:
-            raise RuleSyntaxError(f"odd-length hex escape in content {text!r}")
-        out.extend(bytes.fromhex(hex_bytes))
+        out.extend(_decode_hex(text, match))
         pos = match.end()
     out.extend(text[pos:].encode("latin-1"))
     if not out:
         raise RuleSyntaxError("empty content")
     return bytes(out)
+
+
+def _decode_hex(text: str, escape: "re.Match") -> bytes:
+    """The bytes of one ``|AA BB|`` escape of the content ``text``."""
+    hex_bytes = escape.group(1).replace(" ", "")
+    if len(hex_bytes) % 2:
+        raise RuleSyntaxError(f"odd-length hex escape in content {text!r}")
+    return bytes.fromhex(hex_bytes)
 
 
 def _parse_address(token: str, variables: Dict[str, str]) -> AddressSpec:
@@ -220,10 +251,31 @@ def _parse_port(token: str) -> PortSpec:
     return PortSpec(port, port)
 
 
+def _shared(specs: dict, token: str, parse, *args):
+    """The spec ``parse(token, *args)`` gives, parsed once per ``specs``."""
+    spec = specs.get(token)
+    if spec is None:
+        spec = specs[token] = parse(token, *args)
+    return spec
+
+
 def parse_rule(line: str, variables: Optional[Dict[str, str]] = None) -> SnortRule:
     """Parse one rule line."""
-    variables = variables or {}
-    line = line.strip()
+    return _parse_line(line.strip(), variables or {}, {}, {})
+
+
+def _parse_line(
+    line: str,
+    variables: Dict[str, str],
+    addresses: Dict[str, AddressSpec],
+    ports: Dict[str, PortSpec],
+) -> SnortRule:
+    """Parse one stripped rule line.
+
+    ``addresses`` and ``ports`` map the header tokens already parsed in
+    this call to their (frozen, shareable) specs; a token seen for the
+    first time is parsed and added.
+    """
     match = _RULE_RE.match(line)
     if match is None:
         raise RuleSyntaxError(f"cannot parse rule: {line!r}")
@@ -233,12 +285,12 @@ def parse_rule(line: str, variables: Optional[Dict[str, str]] = None) -> SnortRu
     if protocol not in _PROTO_NUMBERS:
         raise RuleSyntaxError(f"unknown protocol {protocol!r}")
     rule = SnortRule(
-        action=action,
-        protocol=protocol,
-        src=_parse_address(src, variables),
-        src_port=_parse_port(src_port),
-        dst=_parse_address(dst, variables),
-        dst_port=_parse_port(dst_port),
+        action,
+        protocol,
+        _shared(addresses, src, _parse_address, variables),
+        _shared(ports, src_port, _parse_port),
+        _shared(addresses, dst, _parse_address, variables),
+        _shared(ports, dst_port, _parse_port),
     )
     for raw_option in _split_options(options_text):
         key, _, value = raw_option.partition(":")
@@ -303,11 +355,17 @@ def _split_options(text: str) -> List[str]:
 
 
 def parse_rules(text: str, variables: Optional[Dict[str, str]] = None) -> List[SnortRule]:
-    """Parse a rules file (one rule per line; '#' comments allowed)."""
+    """Parse a rules file (one rule per line; '#' comments allowed).
+
+    One pass over the lines: every distinct address or port token is
+    parsed once per call, and the rules that use it share its spec.
+    """
+    variables = variables or {}
+    addresses: Dict[str, AddressSpec] = {}
+    ports: Dict[str, PortSpec] = {}
     rules = []
     for line in text.splitlines():
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        rules.append(parse_rule(line, variables))
+        if line and line[0] != "#":
+            rules.append(_parse_line(line, variables, addresses, ports))
     return rules

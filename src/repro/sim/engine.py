@@ -99,7 +99,8 @@ class Event:
         """Hook: the process waiting on this event was interrupted.
 
         Plain events ignore it; :class:`~repro.sim.resources.CpuWork`
-        frees the core the interrupted process held.
+        frees the core the interrupted process held, and
+        :class:`~repro.sim.resources.StoreGet` withdraws its parked getter.
         """
 
     def succeed(self, value: Any = None) -> "Event":

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterator, List, Sequence, TypeVar
+from typing import List, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -79,8 +79,3 @@ class SeededRng:
     def jitter(self, value: float, fraction: float) -> float:
         """``value`` perturbed uniformly by up to ``+-fraction``."""
         return value * (1.0 + self._random.uniform(-fraction, fraction))
-
-    def iter_exponential(self, rate: float) -> Iterator[float]:
-        """Infinite iterator of exponential inter-arrival times."""
-        while True:
-            yield self._random.expovariate(rate)

@@ -167,6 +167,21 @@ class CpuCores:
 CPU = CpuCores
 
 
+class StoreGet(Event):
+    """The event of one :meth:`FifoStore.get`; fires with the item.
+
+    A process interrupted while it waits on a parked get abandons it:
+    the getter leaves the store, so the next ``put`` goes to a live
+    consumer instead of the dead process.
+    """
+
+    __slots__ = ("store",)  # set by FifoStore.get, which skips an __init__ frame
+
+    def abandon(self) -> None:
+        """Withdraw the getter if it is still parked."""
+        self.store.cancel_get(self)
+
+
 class FifoStore:
     """Unbounded (or bounded) FIFO channel between processes.
 
@@ -203,9 +218,10 @@ class FifoStore:
         event.value = item  # parked; delivered on next get
         return event
 
-    def get(self) -> Event:
+    def get(self) -> StoreGet:
         """Event yielding the next item."""
-        event = self.sim.event(self.name)
+        event = StoreGet(self.sim, self.name)
+        event.store = self
         if self._items:
             item = self._items.popleft()
             if self._putters:

@@ -596,13 +596,6 @@ class OpenVpnServer:
             wire = packet.serialize()
             sendto(wire, session.outer_addr, session.outer_port)
 
-    # ------------------------------------------------------------------
-    # metrics
-    # ------------------------------------------------------------------
-    def aggregate_inner_bytes(self) -> int:
-        """Total decrypted tunnel payload across all sessions."""
-        return sum(s.inner_bytes_in + s.inner_bytes_out for s in self.sessions_by_peer.values())
-
 
 class OpenVpnClient:
     """The vanilla VPN client (one per client machine)."""
@@ -695,10 +688,6 @@ class OpenVpnClient:
         self.sock = self.host.stack.udp_socket()
         self.sock.listen(self._rx_dispatch)
         self.sim.process(self._connect_loop(), name=f"{self.host.name}.vpn-connect")
-
-    def wait_connected(self):
-        """Event that fires when the tunnel is established."""
-        return self.connected_event
 
     def _charge(self, seconds: float):
         if self.charge_cpu and seconds > 0:

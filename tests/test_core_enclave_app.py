@@ -302,6 +302,7 @@ def test_rejected_bundle_without_previous_rules_leaves_none(initialized, world):
         "alert tcp any any -> any any (frob:1;)",
         "alert tcp any any -> any any (sid:notanumber;)",
         "alert tcp 10.0.0.300/8 any -> any any (sid:1;)",
+        'alert tcp any any -> any any (content:"| |"; sid:2;)',
     ],
 )
 def test_malformed_rules_raise_config_error(initialized, world, rules):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import CpuCores, FifoStore, Simulator, SimulationError
+from repro.sim.engine import Interrupt
 
 
 def test_cpu_run_grants_up_to_capacity_immediately():
@@ -182,6 +183,28 @@ def test_fifo_try_get_nonblocking():
     store.put(7)
     assert store.try_get() == 7
     assert len(store) == 0
+
+
+def test_interrupted_getter_leaves_the_store():
+    sim = Simulator()
+    store = FifoStore(sim)
+    got = []
+
+    def consumer(name):
+        try:
+            item = yield store.get()
+        except Interrupt:
+            return
+        got.append((name, item))
+
+    parked = sim.process(consumer("parked"))
+    sim.run()
+    parked.interrupt()
+    sim.run()
+    store.put("x")
+    sim.process(consumer("fresh"))
+    sim.run()
+    assert got == [("fresh", "x")]
 
 
 def test_seeded_rng_deterministic_and_namespaced():
